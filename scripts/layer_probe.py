@@ -14,22 +14,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from posetlab.cli import parse_poset_spec  # noqa: E402
+from posetlab.cli import MODE_NAMES, parse_poset_spec  # noqa: E402
 from posetlab.search import max_free_layers  # noqa: E402
-
-MODES = {"weak": "weak", "induced": "induced", "rp": "rank_preserving"}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--poset", action="append",
                     default=None, help="named:... spec; repeatable")
-    ap.add_argument("--mode", choices=sorted(MODES), default="rp")
+    ap.add_argument("--mode", choices=sorted(MODE_NAMES), default="rp")
     ap.add_argument("--n-min", type=int, default=5)
     ap.add_argument("--n-max", type=int, default=9)
     args = ap.parse_args()
     specs = args.poset or ["named:y(2,2)", "named:y'(2,2)", "named:t3(2)", "named:t3(3)"]
-    mode = MODES[args.mode]
+    mode = MODE_NAMES[args.mode]
     print(f"mode={mode}")
     header = "poset".ljust(18) + "".join(f"n={n}".rjust(6) for n in range(args.n_min, args.n_max + 1))
     print(header)

@@ -24,7 +24,7 @@ from .chains import (
     lubell_mass,
     pair_count,
 )
-from .errors import PosetlabError
+from .errors import NotFree, PosetlabError
 from .family import (
     elements_of,
     f23_construction,
@@ -57,7 +57,7 @@ _NAMED_RE = re.compile(r"^named:(chain|y'|y|t3)\((\d+(?:,\d+)*)\)$")
 
 _NAMED_ARITY = {"chain": 1, "y": 2, "y'": 2, "t3": 1}
 
-_MODES = {
+MODE_NAMES = {
     "weak": "weak",
     "induced": "induced",
     "rp": "rank_preserving",
@@ -101,9 +101,9 @@ def _load_family(path, expected_n=None):
 
 
 def _mode(arg):
-    if arg not in _MODES:
+    if arg not in MODE_NAMES:
         raise UsageError(f"unknown mode {arg!r}; expected weak|induced|rp")
-    return _MODES[arg]
+    return MODE_NAMES[arg]
 
 
 def _emit(payload, fmt="json", out=None):
@@ -146,20 +146,19 @@ def _write_text(text, out):
 # Subcommand handlers; each returns the process exit code.
 
 def _cmd_poset_gen(args):
-    params = [int(x) for x in args.params.split(",")] if args.params else []
+    try:
+        params = [int(x) for x in args.params.split(",")] if args.params else []
+    except ValueError as exc:
+        raise UsageError(f"--params {args.params!r}: expected comma-separated ints") from exc
     poset = gen_named(args.kind, params, t3_reading=args.t3_reading)
     _write_text(poset_to_json(poset) + "\n", args.out)
     return 0
 
 
 def _cmd_poset_show(args):
-    if args.named:
-        poset = parse_poset_spec(args.named)
-    elif args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            poset = poset_from_json(fh.read())
-    else:
+    if not (args.named or args.file):
         raise UsageError("poset show needs --file or --named")
+    poset = parse_poset_spec(args.named or args.file)
     ra = rank_assignment(poset)
     _emit(
         {
@@ -224,20 +223,20 @@ def _cmd_check_saturated(args):
     fam = _load_family(args.family, args.n)
     forbidden = [parse_poset_spec(s) for s in args.forbid]
     mode = _mode(args.mode)
-    free, witness = verify_free(fam, forbidden, mode)
-    if not free:
+    try:
+        result = saturation_check(fam, forbidden, mode)
+    except NotFree as exc:
         _emit(
             {
                 "check": "saturated",
                 "mode": mode,
                 "saturated": False,
                 "notFree": True,
-                "witness": witness.to_json_dict(),
+                "witness": exc.witness.to_json_dict(),
             },
             args.format,
         )
         return 1
-    result = saturation_check(fam, forbidden, mode)
     _emit(
         {
             "check": "saturated",

@@ -280,10 +280,13 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
 # naive; it is the second route that the backtracking matcher is checked
 # against.
 
-def _copy_conditions(poset, mode, coloring):
+def _first_copy(assignments, poset, mode, coloring):
+    """First assignment (masks indexed like poset.elements) that meets every
+    copy condition of the mode, or None.  Callers pass all candidates in one
+    call, so the conditions are built once, not once per permutation."""
     n = len(poset.elements)
     strict = [(i, j) for i in range(n) for j in range(n) if i != j and poset.up[i] >> j & 1]
-    incomp = None
+    incomp = []
     if mode == "induced":
         incomp = [
             (i, j)
@@ -291,11 +294,25 @@ def _copy_conditions(poset, mode, coloring):
             for j in range(i + 1, n)
             if not (poset.up[i] >> j & 1 or poset.up[j] >> i & 1)
         ]
-    classes = None
+    same_class = []
     if mode in ("rank_preserving", "colored"):
         cls_of, _, _ = _class_setup(poset, mode, coloring)
-        classes = cls_of
-    return strict, incomp, classes
+        same_class = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if cls_of[i] == cls_of[j]
+        ]
+    for masks in assignments:
+        if any(masks[i] & ~masks[j] for i, j in strict):
+            continue
+        if incomp and any(
+            masks[i] & ~masks[j] == 0 or masks[j] & ~masks[i] == 0 for i, j in incomp
+        ):
+            continue
+        if same_class and any(
+            bin(masks[i]).count("1") != bin(masks[j]).count("1") for i, j in same_class
+        ):
+            continue
+        return masks
+    return None
 
 
 def is_copy_image(masks, poset, mode="weak", coloring=None):
@@ -305,49 +322,18 @@ def is_copy_image(masks, poset, mode="weak", coloring=None):
     n = len(poset.elements)
     if len(masks) != n or len(set(masks)) != n:
         return False
-    strict, incomp, classes = _copy_conditions(poset, mode, coloring)
-    for perm in permutations(masks):
-        if any(perm[i] & ~perm[j] for i, j in strict):
-            continue
-        if incomp is not None and any(
-            perm[i] & ~perm[j] == 0 or perm[j] & ~perm[i] == 0 for i, j in incomp
-        ):
-            continue
-        if classes is not None and any(
-            bin(perm[i]).count("1") != bin(perm[j]).count("1")
-            for i in range(n)
-            for j in range(i + 1, n)
-            if classes[i] == classes[j]
-        ):
-            continue
-        return True
-    return False
+    return _first_copy(permutations(masks), poset, mode, coloring) is not None
 
 
 def find_copy_bruteforce(fam, poset, mode="weak", coloring=None):
     """Same contract as :func:`find_copy`, by exhaustive injective search."""
     _check_mode(mode)
     n = len(poset.elements)
-    strict, incomp, classes = _copy_conditions(poset, mode, coloring)
-    for combo in combinations(fam.members, n):
-        for perm in permutations(combo):
-            if any(perm[i] & ~perm[j] for i, j in strict):
-                continue
-            if incomp is not None and any(
-                perm[i] & ~perm[j] == 0 or perm[j] & ~perm[i] == 0 for i, j in incomp
-            ):
-                continue
-            if classes is not None and any(
-                bin(perm[i]).count("1") != bin(perm[j]).count("1")
-                for i in range(n)
-                for j in range(i + 1, n)
-                if classes[i] == classes[j]
-            ):
-                continue
-            return Embedding(
-                {poset.elements[i]: perm[i] for i in range(n)}, mode
-            )
-    return None
+    perms = (p for combo in combinations(fam.members, n) for p in permutations(combo))
+    masks = _first_copy(perms, poset, mode, coloring)
+    if masks is None:
+        return None
+    return Embedding({poset.elements[i]: masks[i] for i in range(n)}, mode)
 
 
 def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
@@ -361,22 +347,7 @@ def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
         return False
     if family is not None and any(m not in family for m in masks):
         return False
-    strict, incomp, classes = _copy_conditions(poset, mode, coloring)
-    if any(masks[i] & ~masks[j] for i, j in strict):
-        return False
-    if incomp is not None and any(
-        masks[i] & ~masks[j] == 0 or masks[j] & ~masks[i] == 0 for i, j in incomp
-    ):
-        return False
-    if classes is not None:
-        n = len(masks)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if classes[i] == classes[j] and bin(masks[i]).count("1") != bin(
-                    masks[j]
-                ).count("1"):
-                    return False
-    return True
+    return _first_copy((masks,), poset, mode, coloring) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
 MAX_GROUND = 24
 
 
+def _check_ground(n):
+    """Raise InvalidParam unless 1 <= n <= MAX_GROUND; every construction
+    reaches this before it enumerates any set."""
+    if not 1 <= n <= MAX_GROUND:
+        raise InvalidParam(f"ground set size must be in [1, {MAX_GROUND}]")
+
+
 def canonical_key(mask):
     return (bin(mask).count("1"), mask)
 
@@ -49,8 +56,7 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise InvalidParam(f"ground set size must be in [1, {MAX_GROUND}]")
+        _check_ground(self.n)
         full = (1 << self.n) - 1
         for m in self.members:
             if m < 0 or m > full:
@@ -100,6 +106,7 @@ def layer_profile(fam):
 
 def full_layer(n, k):
     """All k-subsets of [n] as masks, ascending."""
+    _check_ground(n)
     if not 0 <= k <= n:
         raise InvalidParam(f"layer index {k} outside 0..{n}")
     return sorted(mask_of(c) for c in combinations(range(1, n + 1), k))
@@ -130,6 +137,7 @@ def f23_construction(n):
     Built by direct enumeration of the two membership conditions; n must be
     even and at least 4.  Strictly larger than the middle layer.
     """
+    _check_ground(n)
     if n % 2 == 1:
         raise OddN("construction needs even n")
     if n < 4:
@@ -182,8 +190,7 @@ def parse_family(text):
     if not header.startswith("n=") or not header[2:].strip().isdigit():
         raise ParseError(f"expected n=<int> header, got {header!r}", 1)
     n = int(header[2:])
-    if not 1 <= n <= MAX_GROUND:
-        raise InvalidParam(f"ground set size must be in [1, {MAX_GROUND}]")
+    _check_ground(n)
     members = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()

@@ -8,10 +8,15 @@ with its dual: once the included family has a chain of h sets ending at T,
 at most s-1 further supersets of T fit (per size class in rank-preserving
 mode, in total in weak mode).
 
-With workers=1 the explored-node sequence, value and witness are all
-deterministic.  With workers>1 the tree is split at a fixed depth into
-independent subtree tasks; the merged value (and, because tasks are merged
-in branch order, the witness) does not depend on the schedule.
+The branch routine keeps pending branches on an explicit stack, not the
+call stack, so exclude chains 2^n deep stay clear of the recursion limit
+for every n up to MAX_SEARCH_N.  With workers=1 it walks the whole tree:
+the explored-node sequence, value and witness are all deterministic.  With
+workers > 1 the same routine stops at a fixed depth and returns the
+decision prefixes it reaches there; each prefix is an independent subtree
+task for the routine again.  Results are merged in branch order, with the
+split's own incumbent at the place it was found, so value and witness
+equal the workers=1 ones and do not depend on the schedule.
 """
 from __future__ import annotations
 
@@ -58,10 +63,6 @@ class SearchOutcome:
 class SaturationResult:
     saturated: bool
     counterexample: int | None = None
-
-
-class _BudgetUp(Exception):
-    pass
 
 
 def _detect_y_pair(forbidden):
@@ -112,48 +113,58 @@ class _Searcher:
         self.h_tops = []
         self.best_size = 0
         self.best_members = ()
+        self.best_rank = 0
         self.nodes = 0
         self.exact = True
 
-    def run(self, start_index=0, prefix=()):
+    def run(self, start=0, prefix=(), stop=None):
+        """Branch below the prefix from candidate index start, depth first
+        with the include branch first, on an explicit stack.
+
+        Nodes that reach the stop index are not expanded: the included sets
+        there are returned, in branch order, for subtree tasks to finish.
+        best_rank counts those returned before the incumbent was found.  A
+        spent budget ends the walk, marks it inexact and returns no prefixes.
+        """
         for s in prefix:
             self._push(s)
-        if len(self.included) > self.best_size:
-            self.best_size = len(self.included)
-            self.best_members = tuple(self.included)
-        try:
-            self._extend(start_index)
-        except _BudgetUp:
-            self.exact = False
-
-    # -- branching ---------------------------------------------------------
-
-    def _extend(self, i):
-        self.nodes += 1
-        if self.deadline is not None and time.time() > self.deadline:
-            raise _BudgetUp
         inc = self.included
         total = len(self.candidates)
-        potential = len(inc) + (total - i)
-        required = max(self.best_size + 1, self.floor)
-        if potential < required:
-            return
-        if self.cap and self.h_tops:
-            potential = len(inc) + self._capped_remaining(i)
-            if potential < required:
-                return
-        if i == total:
-            return
-        s = self.candidates[i]
-        if self._feasible(s):
-            self._push(s)
-            if len(inc) > self.best_size:
-                self.best_size = len(inc)
-                self.best_members = tuple(inc)
-            if not (self.symmetry and not self._lex_minimal()):
-                self._extend(i + 1)
-            self._pop()
-        self._extend(i + 1)
+        prefixes = []
+        if len(inc) > self.best_size:
+            self.best_size, self.best_members = len(inc), tuple(inc)
+        todo = [(start, len(inc))]  # (candidate index, included sets to keep)
+        while todo:
+            i, kept = todo.pop()
+            while len(inc) > kept:
+                self._pop()
+            self.nodes += 1
+            if self.deadline is not None and time.time() > self.deadline:
+                self.exact = False
+                return []
+            required = max(self.best_size + 1, self.floor)
+            if len(inc) + (total - i) < required:
+                continue
+            if self.cap and self.h_tops and len(inc) + self._capped_remaining(i) < required:
+                continue
+            if i == stop:
+                prefixes.append(tuple(inc))
+                continue
+            if i == total:
+                continue
+            todo.append((i + 1, len(inc)))  # exclude branch, after the include subtree
+            s = self.candidates[i]
+            if self._feasible(s):
+                self._push(s)
+                if len(inc) > self.best_size:
+                    self.best_size, self.best_members = len(inc), tuple(inc)
+                    self.best_rank = len(prefixes)
+                if not (self.symmetry and not self._lex_minimal()):
+                    todo.append((i + 1, len(inc)))
+        return prefixes
+
+    def result(self):
+        return self.best_size, self.best_members, self.nodes, self.exact
 
     def _feasible(self, s):
         fam = SetFamily(self.n, tuple(self.included))
@@ -222,38 +233,12 @@ class _Searcher:
                 return False
         return True
 
-    # -- parallel split ----------------------------------------------------
-
-    def collect_prefixes(self, depth):
-        """Feasible include/exclude decision prefixes at the given depth, in
-        branch order; exploration below the depth is left to tasks."""
-        tasks = []
-
-        def walk(i):
-            self.nodes += 1
-            potential = len(self.included) + (len(self.candidates) - i)
-            if potential < self.floor:
-                return
-            if i == depth:
-                tasks.append(tuple(self.included))
-                return
-            s = self.candidates[i]
-            if self._feasible(s):
-                self._push(s)
-                if not (self.symmetry and not self._lex_minimal()):
-                    walk(i + 1)
-                self._pop()
-            walk(i + 1)
-
-        walk(0)
-        return tasks
-
 
 def _solve_subtree(args):
-    (n, forbidden, mode, coloring, cfg, deadline, prefix, start_index) = args
-    searcher = _Searcher(n, forbidden, mode, coloring, cfg, deadline)
-    searcher.run(start_index, prefix)
-    return searcher.best_size, searcher.best_members, searcher.nodes, searcher.exact
+    *setup, prefix, start = args
+    searcher = _Searcher(*setup)
+    searcher.run(start, prefix)
+    return searcher.result()
 
 
 def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
@@ -265,37 +250,34 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
     for p in forbidden:
         ensure_mode_applicable(p, mode, coloring)
     cfg = cfg or SearchConfig()
+    if cfg.workers < 1:
+        raise InvalidParam("workers must be at least 1")
+    if cfg.budget_ms is not None and cfg.budget_ms < 0:
+        raise InvalidParam("budget_ms must not be negative")
     deadline = None
     if cfg.budget_ms is not None:
         deadline = time.time() + cfg.budget_ms / 1000.0
-    if cfg.workers <= 1:
-        searcher = _Searcher(n, forbidden, mode, coloring, cfg, deadline)
-        searcher.run()
-        return SearchOutcome(
-            searcher.best_size,
-            SetFamily(n, searcher.best_members),
-            searcher.nodes,
-            mode,
-            forbidden,
-            searcher.exact,
-        )
+    setup = (n, forbidden, mode, coloring, cfg, deadline)
+    searcher = _Searcher(*setup)
+    stop = None
+    if cfg.workers > 1:
+        stop = min(len(searcher.candidates), max(1, (8 * cfg.workers - 1).bit_length()))
+    prefixes = searcher.run(stop=stop)
+    results = []
+    if prefixes:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
-
-    splitter = _Searcher(n, forbidden, mode, coloring, cfg, deadline)
-    depth = min(len(splitter.candidates), max(1, (8 * cfg.workers - 1).bit_length()))
-    prefixes = splitter.collect_prefixes(depth)
-    payloads = [
-        (n, forbidden, mode, coloring, cfg, deadline, prefix, depth)
-        for prefix in prefixes
-    ]
-    value, members, nodes, exact = 0, (), splitter.nodes, True
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for size, mem, task_nodes, task_exact in pool.map(_solve_subtree, payloads):
-            nodes += task_nodes
-            exact = exact and task_exact
-            if size > value:
-                value, members = size, mem
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(_solve_subtree, [(*setup, p, stop) for p in prefixes]))
+    # The split's own incumbent goes where it was found among the subtrees,
+    # so ties resolve in branch order exactly as in one sequential walk.
+    results.insert(searcher.best_rank, searcher.result())
+    value, members, nodes, exact = 0, (), 0, True
+    for size, mem, task_nodes, task_exact in results:
+        nodes += task_nodes
+        exact = exact and task_exact
+        if size > value:
+            value, members = size, mem
     return SearchOutcome(value, SetFamily(n, members), nodes, mode, forbidden, exact)
 
 

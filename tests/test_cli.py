@@ -173,6 +173,26 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "show", "--file", "{tmp}/missing.json"),
+        ("poset", "gen", "--kind", "y", "--params", "a,b"),
+        ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--workers", "0"),
+        ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--workers", "-2"),
+        ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--budget-ms", "-5"),
+        ("family", "gen", "--kind", "middle", "--n", "30", "--h", "2"),
+    ],
+    ids=["show-missing-file", "gen-bad-params", "workers-0", "workers-negative",
+         "budget-negative", "family-n-too-large"],
+)
+def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("posetlab: ")
+
+
 def test_no_partial_output_on_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("n=3\nzzz\n")

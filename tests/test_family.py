@@ -131,6 +131,17 @@ def test_full_layer():
     assert len(full_layer(5, 2)) == 10
 
 
+def test_constructions_reject_large_n_before_enumerating():
+    for build in (
+        lambda: full_layer(30, 15),
+        lambda: middle_layers(30, 2),
+        lambda: f23_construction(30),
+        lambda: lubell_tail_family(30, 3),
+    ):
+        with pytest.raises(InvalidParam):
+            build()
+
+
 def test_parse_family_basic():
     fam = parse_family("n=3\n1,2\n3\n")
     assert fam.n == 3

@@ -4,7 +4,14 @@ import pytest
 
 from posetlab.errors import InvalidParam, NotFree, NotGraded
 from posetlab.family import SetFamily, middle_layers, sigma
-from posetlab.poset import chain, poset_from_covers, t_r3_poset, y_poset, y_prime_poset
+from posetlab.poset import (
+    antichain,
+    chain,
+    poset_from_covers,
+    t_r3_poset,
+    y_poset,
+    y_prime_poset,
+)
 from posetlab.search import (
     SearchConfig,
     exhaustive_max_free,
@@ -48,12 +55,39 @@ def test_search_is_deterministic():
 
 
 def test_value_identical_across_worker_counts():
-    seq = la_exact(4, [Y12, Y12P], "weak")
+    for forbidden in ([], [antichain(2)], [C2], [Y12, Y12P], [Y22, Y22P]):
+        for n in range(1, 5):
+            seq = la_exact(n, forbidden, "weak")
+            for workers in (2, 3):
+                par = la_exact(n, forbidden, "weak", SearchConfig(workers=workers))
+                assert (par.value, par.witness, par.exact) == (
+                    seq.value, seq.witness, seq.exact
+                ), (forbidden, n, workers)
     par = la_exact(4, [Y12, Y12P], "weak", SearchConfig(workers=2))
-    assert par.value == seq.value
-    assert par.exact
     free, _ = verify_free(par.witness, [Y12, Y12P], "weak")
     assert free and len(par.witness) == par.value
+
+
+def test_parallel_witness_ties_resolve_in_branch_order():
+    # Five workers split six candidates deep.  The split's own incumbent then
+    # ties a family that a subtree task finds earlier in branch order.
+    seq = la_exact(3, [Y12P], "induced")
+    par = la_exact(3, [Y12P], "induced", SearchConfig(workers=5))
+    assert (par.value, par.witness) == (seq.value, seq.witness)
+
+
+def test_deep_budgeted_search_is_inexact():
+    for n in (10, 12):
+        out = la_exact(n, [C2], "weak", SearchConfig(budget_ms=300))
+        assert out.exact is False
+        free, _ = verify_free(out.witness, [C2], "weak")
+        assert free and len(out.witness) == out.value
+
+
+def test_search_config_ranges():
+    for cfg in (SearchConfig(workers=0), SearchConfig(workers=-2), SearchConfig(budget_ms=-5)):
+        with pytest.raises(InvalidParam):
+            la_exact(3, [C2], "weak", cfg)
 
 
 def test_symmetry_pruning_preserves_value():
