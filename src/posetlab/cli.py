@@ -24,7 +24,7 @@ from .chains import (
     lubell_mass,
     pair_count,
 )
-from .errors import NotFree, PosetlabError
+from .errors import InvalidParam, NotFree, PosetlabError
 from .family import (
     elements_of,
     f23_construction,
@@ -35,16 +35,12 @@ from .family import (
     serialize_family,
 )
 from .poset import (
-    chain,
     classify_tree,
     gen_named,
     height,
     poset_from_json,
     poset_to_json,
     rank_assignment,
-    t_r3_poset,
-    y_poset,
-    y_prime_poset,
 )
 from .search import SearchConfig, la_exact, saturation_check, verify_free
 
@@ -55,7 +51,7 @@ class UsageError(Exception):
 
 _NAMED_RE = re.compile(r"^named:(chain|y'|y|t3)\((\d+(?:,\d+)*)\)$")
 
-_NAMED_ARITY = {"chain": 1, "y": 2, "y'": 2, "t3": 1}
+_NAMED_ALIASES = {"y'": "y_prime", "t3": "t_r3"}  # spec name -> poset.gen_named kind
 
 MODE_NAMES = {
     "weak": "weak",
@@ -70,16 +66,10 @@ def parse_poset_spec(spec):
     m = _NAMED_RE.match(spec)
     if m:
         kind, raw = m.groups()
-        args = [int(x) for x in raw.split(",")]
-        if len(args) != _NAMED_ARITY[kind]:
-            raise UsageError(f"{spec!r}: {kind} takes {_NAMED_ARITY[kind]} parameter(s)")
-        if kind == "chain":
-            return chain(args[0])
-        if kind == "y":
-            return y_poset(*args)
-        if kind == "y'":
-            return y_prime_poset(*args)
-        return t_r3_poset(args[0])
+        try:
+            return gen_named(_NAMED_ALIASES.get(kind, kind), [int(x) for x in raw.split(",")])
+        except InvalidParam as exc:
+            raise UsageError(f"{spec!r}: {exc}") from exc
     if spec.startswith("named:"):
         raise UsageError(f"unknown named poset {spec!r}")
     try:
@@ -106,6 +96,14 @@ def _mode(arg):
     return MODE_NAMES[arg]
 
 
+def _write_text(text, out):
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload, fmt="json", out=None):
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -114,11 +112,7 @@ def _emit(payload, fmt="json", out=None):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(_flatten_csv(payload))
         text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, out)
 
 
 def _flatten_csv(payload, prefix=""):
@@ -132,14 +126,6 @@ def _flatten_csv(payload, prefix=""):
     else:
         rows.append((prefix.rstrip("."), payload))
     return rows
-
-
-def _write_text(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +263,6 @@ def _cmd_search_la(args):
         budget_ms=args.budget_ms,
         workers=args.workers,
         symmetry_pruning=args.symmetry,
-        initial_lower_bound=args.initial_bound,
-        level_caps=not args.no_level_caps,
     )
     outcome = la_exact(args.n, forbidden, _mode(args.mode), cfg)
     if args.emit_witness:
@@ -317,7 +301,9 @@ def _add_format(p):
 
 
 def _build_parser():
-    default_workers = int(os.environ.get("POSETLAB_WORKERS", "1"))
+    # A string default goes through type=int only when --workers is parsed,
+    # so a bad POSETLAB_WORKERS is a usage error of the commands that take it.
+    default_workers = os.environ.get("POSETLAB_WORKERS", "1")
     top = argparse.ArgumentParser(
         prog="posetlab",
         description="Forbidden-subposet toolkit over the Boolean lattice",
@@ -378,9 +364,7 @@ def _build_parser():
     la.add_argument("--budget-ms", type=int, default=None)
     la.add_argument("--workers", type=int, default=default_workers)
     la.add_argument("--emit-witness")
-    la.add_argument("--initial-bound", type=int, default=0)
     la.add_argument("--symmetry", action="store_true")
-    la.add_argument("--no-level-caps", action="store_true")
     _add_format(la)
     la.set_defaults(func=_cmd_search_la)
 
@@ -406,10 +390,7 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"posetlab: {exc}", file=sys.stderr)
-        return 2
-    except PosetlabError as exc:
+    except (UsageError, PosetlabError) as exc:
         print(f"posetlab: {exc}", file=sys.stderr)
         return 2
 

@@ -88,13 +88,6 @@ def _element_order(poset):
     """DFS order over the Hasse graph so almost every element is placed next
     to an already-placed neighbour."""
     n = len(poset.elements)
-    adj = [[] for _ in range(n)]
-    for a, b in poset.covers:
-        i, j = poset.index[a], poset.index[b]
-        adj[i].append(j)
-        adj[j].append(i)
-    for lst in adj:
-        lst.sort()
     order = []
     seen = [False] * n
     for root in range(n):
@@ -105,7 +98,7 @@ def _element_order(poset):
         while stack:
             i = stack.pop()
             order.append(i)
-            for j in reversed(adj[i]):
+            for j in reversed(poset.neighbours[i]):
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
@@ -456,20 +449,12 @@ def greedy_tree_embed(graph, tree):
     if classify_tree(tree) == "not_tree" or height(tree) != 2:
         raise InvalidParam("need a height-2 tree poset")
     ranks = rank_assignment(tree).ranks
-    n = len(tree.elements)
-    adj = [[] for _ in range(n)]
-    for a, b in tree.covers:
-        i, j = tree.index[a], tree.index[b]
-        adj[i].append(j)
-        adj[j].append(i)
-    for lst in adj:
-        lst.sort()
     parent = {0: None}
     order = [0]
     queue = [0]
     while queue:
         i = queue.pop(0)
-        for j in adj[i]:
+        for j in tree.neighbours[i]:
             if j not in parent:
                 parent[j] = i
                 order.append(j)

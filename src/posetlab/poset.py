@@ -56,6 +56,14 @@ class Poset:
         return tuple(tuple(sorted(p)) for p in pred)
 
     @cached_property
+    def neighbours(self):
+        """neighbours[i] = sorted indices joined to i by a Hasse edge, either way."""
+        return tuple(
+            tuple(sorted(self.cover_parents[i] + self.cover_children[i]))
+            for i in range(len(self.elements))
+        )
+
+    @cached_property
     def up(self):
         """up[i]: bitmask of indices j with element_i <= element_j (reflexive)."""
         n = len(self.elements)
@@ -194,17 +202,12 @@ def classify_tree(p):
         return "not_tree"
     if len(p.covers) != n - 1:
         return "not_tree"
-    adj = [[] for _ in range(n)]
-    for a, b in p.covers:
-        i, j = p.index[a], p.index[b]
-        adj[i].append(j)
-        adj[j].append(i)
     seen = [False] * n
     stack = [0]
     seen[0] = True
     while stack:
         i = stack.pop()
-        for j in adj[i]:
+        for j in p.neighbours[i]:
             if not seen[j]:
                 seen[j] = True
                 stack.append(j)

@@ -45,8 +45,6 @@ class SearchConfig:
     budget_ms: int | None = None
     workers: int = 1
     symmetry_pruning: bool = False
-    initial_lower_bound: int = 0  # must be witnessed by some free family
-    level_caps: bool = True
 
 
 @dataclass
@@ -99,14 +97,13 @@ class _Searcher:
         self.forbidden = tuple(forbidden)
         self.mode = mode
         self.coloring = coloring
-        self.floor = cfg.initial_lower_bound
         self.deadline = deadline
         self.symmetry = cfg.symmetry_pruning
         if self.symmetry and n > MAX_SYMMETRY_N:
             raise InvalidParam(f"symmetry pruning supported for n <= {MAX_SYMMETRY_N}")
         self.tables = _perm_tables(n) if self.symmetry else None
         self.cap = None
-        if cfg.level_caps and mode in ("weak", "rank_preserving"):
+        if mode in ("weak", "rank_preserving"):
             self.cap = _detect_y_pair(self.forbidden)
         self.included = []
         self.chain_len = {}
@@ -139,10 +136,10 @@ class _Searcher:
             while len(inc) > kept:
                 self._pop()
             self.nodes += 1
-            if self.deadline is not None and time.time() > self.deadline:
+            if self.deadline is not None and time.monotonic() > self.deadline:
                 self.exact = False
                 return []
-            required = max(self.best_size + 1, self.floor)
+            required = self.best_size + 1
             if len(inc) + (total - i) < required:
                 continue
             if self.cap and self.h_tops and len(inc) + self._capped_remaining(i) < required:
@@ -256,7 +253,7 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
         raise InvalidParam("budget_ms must not be negative")
     deadline = None
     if cfg.budget_ms is not None:
-        deadline = time.time() + cfg.budget_ms / 1000.0
+        deadline = time.monotonic() + cfg.budget_ms / 1000.0
     setup = (n, forbidden, mode, coloring, cfg, deadline)
     searcher = _Searcher(*setup)
     stop = None

@@ -147,6 +147,34 @@ def test_search_la_workers_env_default(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["value"] == 3
 
 
+def test_bad_workers_env_is_a_usage_error_only_where_workers_is_used(capsys, monkeypatch):
+    monkeypatch.setenv("POSETLAB_WORKERS", "abc")
+    code, out, _ = run_cli(capsys, "poset", "gen", "--kind", "chain", "--params", "2")
+    assert code == 0 and json.loads(out)["elements"] == ["x1", "x2"]
+    for argv in (
+        ("search", "la", "--n", "3", "--forbid", "named:chain(2)"),
+        ("verify", "paper", "--suite", "fast", "--max-n", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--workers: invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "flag", [("--initial-bound", "5"), ("--no-level-caps",)],
+    ids=["initial-bound", "no-level-caps"],
+)
+def test_removed_search_flags_are_rejected(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "search", "la", "--n", "3", "--forbid", "named:y(1,2)",
+        "--forbid", "named:y'(1,2)", *flag,
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_search_la_rp_mode_alias(capsys):
     code, out, _ = run_cli(
         capsys, "search", "la", "--n", "4", "--forbid", "named:y(2,2)",

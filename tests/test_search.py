@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from posetlab.poset import (
 )
 from posetlab.search import (
     SearchConfig,
+    _detect_y_pair,
     exhaustive_max_free,
     la_exact,
     max_free_layers,
@@ -99,17 +101,33 @@ def test_symmetry_pruning_preserves_value():
         la_exact(8, [C2], "weak", SearchConfig(symmetry_pruning=True))
 
 
-def test_level_caps_do_not_change_value():
-    on = la_exact(4, [Y22, Y22P], "rank_preserving")
-    off = la_exact(4, [Y22, Y22P], "rank_preserving", SearchConfig(level_caps=False))
-    assert on.value == off.value
-    assert on.nodes_explored <= off.nodes_explored
+@pytest.mark.parametrize("h,s", [(1, 1), (1, 3), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2)])
+def test_capped_y_pairs_match_exhaustive(h, s):
+    # The Y-pair level cap is always on in these modes; the oracle route
+    # has no cap, so equal values show the cap cuts no optimum.
+    forbidden = [y_poset(h, s), y_prime_poset(h, s)]
+    assert _detect_y_pair(forbidden) == (h, s)
+    for mode in ("weak", "rank_preserving"):
+        for n in (2, 3, 4) if (h, s) in ((1, 3), (2, 1)) else (2, 3):
+            out = la_exact(n, forbidden, mode)
+            assert out.exact
+            assert out.value == exhaustive_max_free(n, forbidden, mode).value, (mode, n)
+            free, _ = verify_free(out.witness, forbidden, mode)
+            assert free and len(out.witness) == out.value
 
 
-def test_initial_lower_bound_keeps_value_and_witness_size():
-    seeded = la_exact(4, [C2], "weak", SearchConfig(initial_lower_bound=6))
-    assert seeded.value == 6
-    assert len(seeded.witness) == 6
+def test_deadline_ignores_wall_clock_jumps(monkeypatch):
+    real_time = time.time
+    calls = []
+
+    def jumping_time():
+        calls.append(None)
+        return real_time() + (0 if len(calls) == 1 else 10**6)
+
+    monkeypatch.setattr(time, "time", jumping_time)
+    out = la_exact(3, [C2], "weak", SearchConfig(budget_ms=60000))
+    assert out.exact is True
+    assert out.value == 3
 
 
 def test_budget_surfaces_as_inexact():
