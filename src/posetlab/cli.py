@@ -104,7 +104,7 @@ def _write_text(text, out):
         sys.stdout.write(text)
 
 
-def _emit(payload, fmt="json", out=None):
+def _emit(payload, fmt="json"):
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -112,7 +112,7 @@ def _emit(payload, fmt="json", out=None):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(_flatten_csv(payload))
         text = buf.getvalue()
-    _write_text(text, out)
+    sys.stdout.write(text)
 
 
 def _flatten_csv(payload, prefix=""):

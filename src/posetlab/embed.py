@@ -13,6 +13,11 @@ first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
 
+A copy through a new set (creates_copy_through, and the search's in-place
+test behind it) forces the new set onto each poset element in turn and
+starts the Hasse-connected order at that element, so the new set is placed
+first and every later candidate is filtered against it.
+
 Tie-breaking is fixed: candidate images in canonical family order, class
 sizes ascending, so the returned witness is deterministic.  It is the
 first embedding found, not a canonical minimum.
@@ -84,13 +89,13 @@ def ensure_mode_applicable(poset, mode, coloring=None):
 
 
 @lru_cache(maxsize=None)
-def _element_order(poset):
-    """DFS order over the Hasse graph so almost every element is placed next
-    to an already-placed neighbour."""
+def _element_order(poset, first=0):
+    """DFS order over the Hasse graph from element first, so almost every
+    element is placed next to an already-placed neighbour."""
     n = len(poset.elements)
     order = []
     seen = [False] * n
-    for root in range(n):
+    for root in (first, *range(n)):
         if seen[root]:
             continue
         seen[root] = True
@@ -111,19 +116,12 @@ def _graded_ranks(poset):
     return ra.ranks if ra.graded else None
 
 
-def _class_setup(poset, mode, coloring):
-    """Class index per element plus the strict between-class order."""
-    if mode == "rank_preserving":
-        ranks = _graded_ranks(poset)
-        if ranks is None:
-            raise NotGraded("rank-preserving copies need a graded poset")
-        raw = [ranks[x] for x in poset.elements]
-    else:
-        validate_coloring(poset, coloring)
-        raw = [coloring[x] for x in poset.elements]
+def _class_table(poset, raw):
+    """Class index per element, the strict between-class order and the
+    class sizes, all as tuples."""
     ids = sorted(set(raw))
     cid = {c: i for i, c in enumerate(ids)}
-    cls_of = [cid[c] for c in raw]
+    cls_of = tuple(cid[c] for c in raw)
     k = len(ids)
     less = [[False] * k for _ in range(k)]
     n = len(poset.elements)
@@ -131,32 +129,48 @@ def _class_setup(poset, mode, coloring):
         for j in range(n):
             if i != j and poset.up[i] >> j & 1:
                 less[cls_of[i]][cls_of[j]] = True
-    class_count = [cls_of.count(c) for c in range(k)]
-    return cls_of, less, class_count
+    class_count = tuple(cls_of.count(c) for c in range(k))
+    return cls_of, tuple(map(tuple, less)), class_count
 
 
-def _backtrack_images(fam, poset, mode, size_of, forced):
+@lru_cache(maxsize=None)
+def _rank_class_table(poset):
+    ranks = _graded_ranks(poset)
+    if ranks is None:
+        raise NotGraded("rank-preserving copies need a graded poset")
+    return _class_table(poset, [ranks[x] for x in poset.elements])
+
+
+def _class_setup(poset, mode, coloring):
+    """Class index per element plus the strict between-class order; the
+    rank classes are built once per poset and shared."""
+    if mode == "rank_preserving":
+        return _rank_class_table(poset)
+    validate_coloring(poset, coloring)
+    return _class_table(poset, [coloring[x] for x in poset.elements])
+
+
+def _backtrack_images(members, by_size, poset, mode, size_of, forced):
     """Search for an injective image assignment; returns element-index ->
-    mask dict or None."""
-    order = _element_order(poset)
+    mask dict or None.  forced is None or an (element, mask) pair: that
+    element is placed first, so its neighbours are filtered against it at
+    once."""
+    first, mask = forced or (0, None)
+    order = _element_order(poset, first)
     n_el = len(order)
     up, down = poset.up, poset.down
-    members = fam.members
-    by_size = fam.by_size
     induced = mode == "induced"
     image = {}
     used = set()
+    if forced:
+        image[first] = mask
+        used.add(mask)
 
     def extend(k):
         if k == n_el:
             return True
         e = order[k]
-        if forced is not None and e in forced:
-            cand = (forced[e],)
-        elif size_of is not None:
-            cand = by_size.get(size_of[e], ())
-        else:
-            cand = members
+        cand = members if size_of is None else by_size.get(size_of[e], ())
         lower = 0
         upper = -1
         incomp = []
@@ -181,30 +195,28 @@ def _backtrack_images(fam, poset, mode, size_of, forced):
             used.discard(s)
         return False
 
-    return dict(image) if extend(0) else None
+    return dict(image) if extend(len(image)) else None
 
 
-def _find_embedding(fam, poset, mode, coloring, forced):
+def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
+    """First image assignment of the poset into the members (grouped by set
+    size in by_size; a size may map to no members), or None."""
     n_el = len(poset.elements)
-    if n_el > len(fam.members):
+    if n_el > len(members):
         if mode in ("rank_preserving", "colored"):
             _class_setup(poset, mode, coloring)  # still surface mode errors
         return None
     if mode in ("weak", "induced"):
-        return _backtrack_images(fam, poset, mode, None, forced)
+        return _backtrack_images(members, by_size, poset, mode, None, forced)
 
     cls_of, less, class_count = _class_setup(poset, mode, coloring)
     k = len(class_count)
-    sizes_avail = sorted(fam.by_size)
-    counts = {s: len(fam.by_size[s]) for s in sizes_avail}
+    sizes_avail = sorted(by_size)
+    counts = {s: len(by_size[s]) for s in sizes_avail}
     forced_sizes = {}
     if forced:
-        for e, mask in forced.items():
-            c = cls_of[e]
-            s = bin(mask).count("1")
-            if forced_sizes.get(c, s) != s:
-                return None
-            forced_sizes[c] = s
+        e, mask = forced
+        forced_sizes[cls_of[e]] = mask.bit_count()
     assign = [None] * k
     found = None
 
@@ -212,7 +224,7 @@ def _find_embedding(fam, poset, mode, coloring, forced):
         nonlocal found
         if ci == k:
             size_of = [assign[c] for c in cls_of]
-            found = _backtrack_images(fam, poset, mode, size_of, forced)
+            found = _backtrack_images(members, by_size, poset, mode, size_of, forced)
             return
         for s in sizes_avail:
             if ci in forced_sizes and s != forced_sizes[ci]:
@@ -237,6 +249,18 @@ def _find_embedding(fam, poset, mode, coloring, forced):
     return found
 
 
+def _copy_through(members, by_size, poset, mode, new_mask, coloring):
+    """Image (element index -> mask) of a copy that uses new_mask, in a
+    family that already holds new_mask, or None.  members and by_size are
+    the family's sets and the same sets grouped by size; the caller may
+    keep both as mutable lists and update them in place."""
+    for e in range(len(poset.elements)):
+        image = _find_embedding(members, by_size, poset, mode, coloring, (e, new_mask))
+        if image is not None:
+            return image
+    return None
+
+
 def _to_embedding(image, poset, mode):
     return Embedding({poset.elements[e]: m for e, m in sorted(image.items())}, mode)
 
@@ -244,7 +268,7 @@ def _to_embedding(image, poset, mode):
 def find_copy(fam, poset, mode="weak", coloring=None):
     """First copy of the poset in the family under the given mode, or None."""
     _check_mode(mode)
-    image = _find_embedding(fam, poset, mode, coloring, None)
+    image = _find_embedding(fam.members, fam.by_size, poset, mode, coloring)
     return None if image is None else _to_embedding(image, poset, mode)
 
 
@@ -261,11 +285,8 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
     if new_mask in fam:
         raise AlreadyMember(f"mask {new_mask} is already a member")
     aug = fam.with_member(new_mask)
-    for e in range(len(poset.elements)):
-        image = _find_embedding(aug, poset, mode, coloring, {e: new_mask})
-        if image is not None:
-            return _to_embedding(image, poset, mode)
-    return None
+    image = _copy_through(aug.members, aug.by_size, poset, mode, new_mask, coloring)
+    return None if image is None else _to_embedding(image, poset, mode)
 
 
 # ---------------------------------------------------------------------------

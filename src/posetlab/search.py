@@ -2,11 +2,15 @@
 
 la_exact runs include/exclude branch-and-bound over all 2^n candidate sets
 in canonical order (include branch first).  Feasibility pruning works one
-set at a time through creates_copy_through; the upper bound is the trivial
-cardinality bound, tightened when the forbidden pair is a Y poset together
-with its dual: once the included family has a chain of h sets ending at T,
-at most s-1 further supersets of T fit (per size class in rank-preserving
-mode, in total in weak mode).
+set at a time and in place: the included sets, and the same sets grouped
+by size, are push/pop lists, so a candidate s is appended, the matcher
+looks for a copy anchored at s (the contract of creates_copy_through,
+without building a family), and s is popped again.  The upper bound is
+the trivial cardinality bound, tightened when the forbidden pair is a Y
+poset together with its dual: once the included family has a chain of h
+sets ending at T, at most s-1 further supersets of T fit (per size class
+in rank-preserving mode, in total in weak mode).  The remaining supersets
+of T are counted by bisecting per-T lists of candidate indices.
 
 The branch routine keeps pending branches on an explicit stack, not the
 call stack, so exclude chains 2^n deep stay clear of the recursion limit
@@ -14,18 +18,21 @@ for every n up to MAX_SEARCH_N.  With workers=1 it walks the whole tree:
 the explored-node sequence, value and witness are all deterministic.  With
 workers > 1 the same routine stops at a fixed depth and returns the
 decision prefixes it reaches there; each prefix is an independent subtree
-task for the routine again.  Results are merged in branch order, with the
-split's own incumbent at the place it was found, so value and witness
-equal the workers=1 ones and do not depend on the schedule.
+task for the routine again, which alone counts the prefix node.  Results
+are merged in branch order, with the split's own incumbent at the place it
+was found, so value and witness equal the workers=1 ones and do not depend
+on the schedule.
 """
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from .embed import (
+    _copy_through,
     creates_copy_through,
     ensure_mode_applicable,
     find_copy,
@@ -106,8 +113,10 @@ class _Searcher:
         if mode in ("weak", "rank_preserving"):
             self.cap = _detect_y_pair(self.forbidden)
         self.included = []
+        self.by_size = {}  # the included sets grouped by size, canonical order
         self.chain_len = {}
         self.h_tops = []
+        self.superset_index = {}  # chain top -> level -> candidate indices
         self.best_size = 0
         self.best_members = ()
         self.best_rank = 0
@@ -146,6 +155,7 @@ class _Searcher:
                 continue
             if i == stop:
                 prefixes.append(tuple(inc))
+                self.nodes -= 1  # its subtree task counts this node
                 continue
             if i == total:
                 continue
@@ -164,11 +174,19 @@ class _Searcher:
         return self.best_size, self.best_members, self.nodes, self.exact
 
     def _feasible(self, s):
-        fam = SetFamily(self.n, tuple(self.included))
-        return all(
-            creates_copy_through(fam, p, self.mode, s, self.coloring) is None
+        """No forbidden copy through s: s joins the included sets in place
+        for the test and leaves again."""
+        inc = self.included
+        group = self.by_size.setdefault(s.bit_count(), [])
+        inc.append(s)
+        group.append(s)
+        free = all(
+            _copy_through(inc, self.by_size, p, self.mode, s, self.coloring) is None
             for p in self.forbidden
         )
+        inc.pop()
+        group.pop()
+        return free
 
     def _push(self, s):
         if self.cap:
@@ -181,9 +199,11 @@ class _Searcher:
             if best_below + 1 >= h:
                 self.h_tops.append(s)
         self.included.append(s)
+        self.by_size.setdefault(s.bit_count(), []).append(s)
 
     def _pop(self):
         s = self.included.pop()
+        self.by_size[s.bit_count()].pop()
         if self.cap:
             del self.chain_len[s]
             if self.h_tops and self.h_tops[-1] == s:
@@ -192,34 +212,45 @@ class _Searcher:
     # -- bounds ------------------------------------------------------------
 
     def _capped_remaining(self, i):
-        rem = self.candidates[i:]
-        base = len(rem)
+        base = len(self.candidates) - i
         _, s_param = self.cap
         best = base
         for t in self.h_tops:
-            sup_rem = [r for r in rem if t & ~r == 0]
-            if not sup_rem:
+            rem_lv = {}
+            for lv, idx in self._supersets(t).items():
+                cnt = len(idx) - bisect_left(idx, i)
+                if cnt:
+                    rem_lv[lv] = cnt
+            if not rem_lv:
                 continue
-            if self.mode == "weak":
-                sup_inc = sum(1 for a in self.included if t & ~a == 0 and a != t)
-                allow = max(0, s_param - 1 - sup_inc)
-                bound = base - len(sup_rem) + min(len(sup_rem), allow)
-            else:
-                inc_lv = {}
-                for a in self.included:
-                    if t & ~a == 0 and a != t:
-                        pc = bin(a).count("1")
-                        inc_lv[pc] = inc_lv.get(pc, 0) + 1
-                rem_lv = {}
-                for r in sup_rem:
-                    pc = bin(r).count("1")
-                    rem_lv[pc] = rem_lv.get(pc, 0) + 1
-                bound = base
-                for pc, cnt in rem_lv.items():
-                    allow = max(0, s_param - 1 - inc_lv.get(pc, 0))
-                    bound -= cnt - min(cnt, allow)
+            inc_lv = {}
+            for a in self.included:
+                if t & ~a == 0 and a != t:
+                    lv = self._level(a)
+                    inc_lv[lv] = inc_lv.get(lv, 0) + 1
+            bound = base
+            for lv, cnt in rem_lv.items():
+                allow = max(0, s_param - 1 - inc_lv.get(lv, 0))
+                bound -= cnt - min(cnt, allow)
             best = min(best, bound)
         return best
+
+    def _level(self, a):
+        """The class the cap counts a set in: its size in rank-preserving
+        mode, one class for all sets in weak mode."""
+        return a.bit_count() if self.mode == "rank_preserving" else 0
+
+    def _supersets(self, t):
+        """level -> ascending indices of the candidates strictly above t,
+        built the first time t is a chain top."""
+        index = self.superset_index.get(t)
+        if index is None:
+            index = {}
+            for j, r in enumerate(self.candidates):
+                if t & ~r == 0 and r != t:
+                    index.setdefault(self._level(r), []).append(j)
+            self.superset_index[t] = index
+        return index
 
     def _lex_minimal(self):
         cur = tuple(self.included)

@@ -119,12 +119,19 @@ def test_creates_copy_through_matches_filtered_find_copy(rng):
     for _ in range(150):
         fam = random_family(rng, 4, 8)
         poset = random_graded_poset(rng, 4)
-        mode = rng.choice(("weak", "induced", "rank_preserving"))
+        mode = rng.choice(("weak", "induced", "rank_preserving", "colored"))
+        coloring = None
+        if mode == "colored":
+            # rank classes, some elements split off into classes of their own
+            coloring = {
+                x: r if rng.random() < 0.5 else 100 + i
+                for i, (x, r) in enumerate(rank_coloring(poset).items())
+            }
         outside = [m for m in range(16) if m not in fam]
         if not outside:
             continue
         s = rng.choice(outside)
-        through = creates_copy_through(fam, poset, mode, s)
+        through = creates_copy_through(fam, poset, mode, s, coloring)
         aug = fam.with_member(s)
         brute = None
         from itertools import combinations, permutations
@@ -132,13 +139,13 @@ def test_creates_copy_through_matches_filtered_find_copy(rng):
         for combo in combinations(aug.members, len(poset.elements)):
             if s not in combo:
                 continue
-            if is_copy_image(combo, poset, mode):
+            if is_copy_image(combo, poset, mode, coloring):
                 brute = combo
                 break
         assert (through is None) == (brute is None)
         if through is not None:
             assert s in through.mapping.values()
-            assert check_embedding(poset, through.mapping, mode, family=aug)
+            assert check_embedding(poset, through.mapping, mode, coloring, family=aug)
 
 
 @settings(max_examples=40)

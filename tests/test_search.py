@@ -70,6 +70,38 @@ def test_value_identical_across_worker_counts():
     assert free and len(par.witness) == par.value
 
 
+def test_parallel_split_counts_each_prefix_node_once():
+    # chain(1) forbids every set: one exclude path of 17 nodes.  The split
+    # hands its depth-4 node to a task, which must be the only one counting it.
+    seq = la_exact(4, [chain(1)], "weak")
+    par = la_exact(4, [chain(1)], "weak", SearchConfig(workers=2))
+    assert seq.nodes_explored == par.nodes_explored == 17
+
+
+N_POSET = poset_from_covers("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
+
+# (mode, forbidden, coloring) -> (value, nodes_explored, witness members) at
+# n = 4.  The node count and the witness pin the shape of the search tree,
+# which a faster walk of it must keep.
+PINNED_TREES = [
+    ("weak", (Y12, Y12P), None, (6, 251, (1, 2, 4, 9, 10, 12))),
+    ("weak", (chain(3),), None, (10, 2621, (1, 2, 4, 8, 3, 5, 6, 9, 10, 12))),
+    ("induced", (N_POSET,), None, (10, 2666, (0, 1, 2, 5, 6, 9, 10, 12, 13, 15))),
+    ("induced", (Y12,), None, (8, 1970, (1, 2, 4, 9, 10, 12, 11, 15))),
+    ("rank_preserving", (Y22, Y22P), None, (10, 2399, (1, 2, 4, 8, 3, 5, 6, 9, 10, 12))),
+    ("colored", (Y12,), {"x1": 0, "y1": 1, "y2": 2}, (7, 2800, (3, 5, 6, 9, 10, 12, 7))),
+    ("colored", (N_POSET,), {"a": 0, "b": 0, "c": 1, "d": 1},
+     (10, 3139, (0, 1, 2, 5, 6, 9, 10, 12, 7, 15))),
+]
+
+
+@pytest.mark.parametrize("mode,forbidden,coloring,pinned", PINNED_TREES)
+def test_search_tree_is_pinned(mode, forbidden, coloring, pinned):
+    out = la_exact(4, forbidden, mode, coloring=coloring)
+    assert out.exact
+    assert (out.value, out.nodes_explored, out.witness.members) == pinned
+
+
 def test_parallel_witness_ties_resolve_in_branch_order():
     # Five workers split six candidates deep.  The split's own incumbent then
     # ties a family that a subtree task finds earlier in branch order.
