@@ -72,19 +72,11 @@ def parse_poset_spec(spec):
             raise UsageError(f"{spec!r}: {exc}") from exc
     if spec.startswith("named:"):
         raise UsageError(f"unknown named poset {spec!r}")
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            return poset_from_json(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read poset file {spec!r}: {exc}") from exc
+    return poset_from_json(_read_text(spec, "poset"))
 
 
 def _load_family(path, expected_n=None):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            fam = parse_family(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read family file {path!r}: {exc}") from exc
+    fam = parse_family(_read_text(path, "family"))
     if expected_n is not None and fam.n != expected_n:
         raise UsageError(f"family file has n={fam.n}, --n says {expected_n}")
     return fam
@@ -96,12 +88,23 @@ def _mode(arg):
     return MODE_NAMES[arg]
 
 
+def _read_text(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
 def _write_text(text, out):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _emit(payload, fmt="json"):
@@ -266,8 +269,7 @@ def _cmd_search_la(args):
     )
     outcome = la_exact(args.n, forbidden, _mode(args.mode), cfg)
     if args.emit_witness:
-        with open(args.emit_witness, "w", encoding="utf-8") as fh:
-            fh.write(serialize_family(outcome.witness))
+        _write_text(serialize_family(outcome.witness), args.emit_witness)
     _emit(
         {
             "command": "search la",

@@ -13,10 +13,11 @@ first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
 
-A copy through a new set (creates_copy_through, and the search's in-place
-test behind it) forces the new set onto each poset element in turn and
-starts the Hasse-connected order at that element, so the new set is placed
-first and every later candidate is filtered against it.
+Every one-set test (the search, saturation_check, creates_copy_through)
+runs in place through _copy_through: it appends the new set to the
+caller's lists, forces it onto each poset element in turn (placed first in
+a Hasse-connected order from there, so every later candidate is filtered
+against it) and pops it again.
 
 Tie-breaking is fixed: candidate images in canonical family order, class
 sizes ascending, so the returned witness is deterministic.  It is the
@@ -31,6 +32,7 @@ from itertools import combinations, permutations
 
 from .errors import (
     AlreadyMember,
+    ElementOutOfRange,
     EmbedFailed,
     InvalidColoring,
     InvalidParam,
@@ -250,15 +252,23 @@ def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
 
 
 def _copy_through(members, by_size, poset, mode, new_mask, coloring):
-    """Image (element index -> mask) of a copy that uses new_mask, in a
-    family that already holds new_mask, or None.  members and by_size are
-    the family's sets and the same sets grouped by size; the caller may
-    keep both as mutable lists and update them in place."""
-    for e in range(len(poset.elements)):
-        image = _find_embedding(members, by_size, poset, mode, coloring, (e, new_mask))
-        if image is not None:
-            return image
-    return None
+    """Image (element index -> mask) of a copy that uses new_mask, or None.
+    new_mask joins the lists members and by_size (the same sets by size)
+    for the test and leaves again, even on an error.  Placed first and
+    skipped as used later, it cannot change the search order by where it
+    sits; a size group it leaves empty is too small to be assigned."""
+    group = by_size.setdefault(new_mask.bit_count(), [])
+    members.append(new_mask)
+    group.append(new_mask)
+    try:
+        for e in range(len(poset.elements)):
+            image = _find_embedding(members, by_size, poset, mode, coloring, (e, new_mask))
+            if image is not None:
+                return image
+        return None
+    finally:
+        members.pop()
+        group.pop()
 
 
 def _to_embedding(image, poset, mode):
@@ -284,8 +294,10 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
     _check_mode(mode)
     if new_mask in fam:
         raise AlreadyMember(f"mask {new_mask} is already a member")
-    aug = fam.with_member(new_mask)
-    image = _copy_through(aug.members, aug.by_size, poset, mode, new_mask, coloring)
+    if not 0 <= new_mask < 1 << fam.n:
+        raise ElementOutOfRange(f"mask {new_mask} does not fit in [{fam.n}]")
+    by_size = {k: list(v) for k, v in fam.by_size.items()}
+    image = _copy_through(list(fam.members), by_size, poset, mode, new_mask, coloring)
     return None if image is None else _to_embedding(image, poset, mode)
 
 

@@ -89,9 +89,6 @@ class SetFamily:
             groups.setdefault(bin(m).count("1"), []).append(m)
         return {k: tuple(v) for k, v in groups.items()}
 
-    def with_member(self, mask):
-        return SetFamily(self.n, self.members + (mask,))
-
     def as_sets(self):
         return [elements_of(m) for m in self.members]
 

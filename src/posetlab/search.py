@@ -3,14 +3,14 @@
 la_exact runs include/exclude branch-and-bound over all 2^n candidate sets
 in canonical order (include branch first).  Feasibility pruning works one
 set at a time and in place: the included sets, and the same sets grouped
-by size, are push/pop lists, so a candidate s is appended, the matcher
-looks for a copy anchored at s (the contract of creates_copy_through,
-without building a family), and s is popped again.  The upper bound is
-the trivial cardinality bound, tightened when the forbidden pair is a Y
-poset together with its dual: once the included family has a chain of h
-sets ending at T, at most s-1 further supersets of T fit (per size class
-in rank-preserving mode, in total in weak mode).  The remaining supersets
-of T are counted by bisecting per-T lists of candidate indices.
+by size, are push/pop lists that embed._copy_through tests a candidate s
+on, anchored at s; saturation_check probes outside sets the same way, with
+no family built per probe.  The upper bound is the trivial cardinality
+bound, tightened when the forbidden pair is a Y poset together with its
+dual: once the included family has a chain of h sets ending at T, at most
+s-1 further supersets of T fit (per size class in rank-preserving mode, in
+total in weak mode).  The remaining supersets of T are counted by
+bisecting per-T lists of candidate indices.
 
 The branch routine keeps pending branches on an explicit stack, not the
 call stack, so exclude chains 2^n deep stay clear of the recursion limit
@@ -33,7 +33,6 @@ from itertools import combinations, permutations
 
 from .embed import (
     _copy_through,
-    creates_copy_through,
     ensure_mode_applicable,
     find_copy,
     is_copy_image,
@@ -161,7 +160,8 @@ class _Searcher:
                 continue
             todo.append((i + 1, len(inc)))  # exclude branch, after the include subtree
             s = self.candidates[i]
-            if self._feasible(s):
+            if all(_copy_through(inc, self.by_size, p, self.mode, s, self.coloring) is None
+                   for p in self.forbidden):
                 self._push(s)
                 if len(inc) > self.best_size:
                     self.best_size, self.best_members = len(inc), tuple(inc)
@@ -172,21 +172,6 @@ class _Searcher:
 
     def result(self):
         return self.best_size, self.best_members, self.nodes, self.exact
-
-    def _feasible(self, s):
-        """No forbidden copy through s: s joins the included sets in place
-        for the test and leaves again."""
-        inc = self.included
-        group = self.by_size.setdefault(s.bit_count(), [])
-        inc.append(s)
-        group.append(s)
-        free = all(
-            _copy_through(inc, self.by_size, p, self.mode, s, self.coloring) is None
-            for p in self.forbidden
-        )
-        inc.pop()
-        group.pop()
-        return free
 
     def _push(self, s):
         if self.cap:
@@ -372,10 +357,11 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
     free, witness = verify_free(fam, forbidden, mode, coloring)
     if not free:
         raise NotFree(witness)
-    outside = [s for s in range(1 << fam.n) if s not in fam]
-    for s in sorted(outside, key=canonical_key):
-        if all(
-            creates_copy_through(fam, p, mode, s, coloring) is None for p in forbidden
+    members = list(fam.members)
+    by_size = {k: list(v) for k, v in fam.by_size.items()}
+    for s in sorted(range(1 << fam.n), key=canonical_key):
+        if s not in fam and all(
+            _copy_through(members, by_size, p, mode, s, coloring) is None for p in forbidden
         ):
             return SaturationResult(False, s)
     return SaturationResult(True, None)

@@ -28,6 +28,7 @@ from posetlab.embed import (
 )
 from posetlab.errors import NotGraded
 from posetlab.family import (
+    SetFamily,
     f23_construction,
     f23_formula_size,
     full_layer,
@@ -133,9 +134,8 @@ def test_criterion_06_kleitman_inequality():
             if rng.random() < 0.25:
                 base = middle_layers(n, 1)
                 extra = [m for m in range(1 << n) if m not in base]
-                fam = base
-                for m in rng.sample(extra, rng.randint(0, min(25, len(extra)))):
-                    fam = fam.with_member(m)
+                added = rng.sample(extra, rng.randint(0, min(25, len(extra))))
+                fam = SetFamily(n, base.members + tuple(added))
             else:
                 fam = random_family(rng, n, min(1 << n, 120))
             assert count_2chains(fam) >= kleitman_lower_bound(len(fam), n)

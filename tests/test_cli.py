@@ -210,11 +210,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--workers", "-2"),
         ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--budget-ms", "-5"),
         ("family", "gen", "--kind", "middle", "--n", "30", "--h", "2"),
+        ("poset", "gen", "--kind", "chain", "--params", "2", "--out", "{tmp}/no/p.json"),
+        ("family", "gen", "--kind", "middle", "--n", "4", "--h", "2",
+         "--out", "{tmp}/no/f.txt"),
+        ("search", "la", "--n", "2", "--forbid", "named:chain(2)",
+         "--emit-witness", "{tmp}/no/w.txt"),
+        ("measure", "--family", "{tmp}/latin1.txt"),
+        ("poset", "show", "--file", "{tmp}/latin1.txt"),
     ],
     ids=["show-missing-file", "gen-bad-params", "workers-0", "workers-negative",
-         "budget-negative", "family-n-too-large"],
+         "budget-negative", "family-n-too-large", "poset-out-unwritable",
+         "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
+         "poset-not-utf8"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
+    (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from posetlab.embed import (
     InclusionBigraph,
+    _copy_through,
     build_inclusion_bigraph,
     check_embedding,
     creates_copy_through,
@@ -17,6 +18,7 @@ from posetlab.embed import (
 )
 from posetlab.errors import (
     AlreadyMember,
+    ElementOutOfRange,
     EmbedFailed,
     InvalidColoring,
     InvalidParam,
@@ -115,6 +117,21 @@ def test_creates_copy_through_examples():
         creates_copy_through(SetFamily(2, (1,)), C2, "weak", 1)
 
 
+@pytest.mark.parametrize("mask, error", [(1 << 3, ElementOutOfRange), (-1, ElementOutOfRange),
+                                         (0b011, AlreadyMember)])
+def test_creates_copy_through_rejects_bad_masks(mask, error):
+    with pytest.raises(error):
+        creates_copy_through(SetFamily(3, (0b001, 0b011)), C2, "weak", mask)
+
+
+def test_copy_through_restores_lists_when_coloring_is_invalid():
+    members, by_size = [0b01], {1: [0b01]}
+    with pytest.raises(InvalidColoring):
+        _copy_through(members, by_size, C2, "colored", 0b11, {"x1": 0})
+    assert members == [0b01]
+    assert by_size == {1: [0b01], 2: []}
+
+
 def test_creates_copy_through_matches_filtered_find_copy(rng):
     for _ in range(150):
         fam = random_family(rng, 4, 8)
@@ -132,7 +149,7 @@ def test_creates_copy_through_matches_filtered_find_copy(rng):
             continue
         s = rng.choice(outside)
         through = creates_copy_through(fam, poset, mode, s, coloring)
-        aug = fam.with_member(s)
+        aug = SetFamily(fam.n, fam.members + (s,))
         brute = None
         from itertools import combinations, permutations
 
@@ -184,7 +201,7 @@ def test_monotonicity_adding_sets_preserves_copies(rng):
         outside = [m for m in range(16) if m not in fam]
         if not outside:
             continue
-        bigger = fam.with_member(rng.choice(outside))
+        bigger = SetFamily(fam.n, fam.members + (rng.choice(outside),))
         assert find_copy(bigger, poset, "weak") is not None
 
 

@@ -3,12 +3,14 @@ import time
 
 import pytest
 
+from posetlab.embed import MODES, find_copy, find_copy_bruteforce
 from posetlab.errors import InvalidParam, NotFree, NotGraded
-from posetlab.family import SetFamily, middle_layers, sigma
+from posetlab.family import SetFamily, canonical_key, middle_layers, sigma
 from posetlab.poset import (
     antichain,
     chain,
     poset_from_covers,
+    rank_coloring,
     t_r3_poset,
     y_poset,
     y_prime_poset,
@@ -22,6 +24,7 @@ from posetlab.search import (
     saturation_check,
     verify_free,
 )
+from strategies import random_family, random_graded_poset
 
 C2 = chain(2)
 Y12, Y12P = y_poset(1, 2), y_prime_poset(1, 2)
@@ -232,6 +235,57 @@ def test_saturation_rejects_unfree_input():
 def test_saturation_middle_two_layers_n5():
     res = saturation_check(middle_layers(5, 2), [Y22, Y22P], "rank_preserving")
     assert res.saturated
+
+
+def test_saturation_check_matches_definition(rng):
+    """saturation_check against the definition, read off the permutation
+    matcher: NotFree exactly when the family holds a copy, else the first
+    outside set in canonical order whose addition holds none."""
+
+    def holds_copy(fam, forb, mode, coloring):
+        return any(find_copy_bruteforce(fam, p, mode, coloring) for p in forb)
+
+    for trial in range(600):
+        n = rng.randint(1, 4)
+        mode = MODES[trial % 4]
+        forb = []
+        while len(forb) < (1 if mode == "colored" else rng.randint(1, 2)):
+            p = random_graded_poset(rng, 4)
+            if len(p.elements) > 1:
+                forb.append(p)
+        coloring = None
+        if mode == "colored":
+            coloring = {
+                x: r if rng.random() < 0.5 else 100 + i
+                for i, (x, r) in enumerate(rank_coloring(forb[0]).items())
+            }
+        kind = trial // 4 % 3  # random, maximal free, maximal free less one set
+        if kind == 0:
+            fam = random_family(rng, n, min(1 << n, 5))
+        else:
+            members = []
+            for s in rng.sample(range(1 << n), 1 << n):
+                grown = SetFamily(n, (*members, s))
+                if not any(find_copy(grown, p, mode, coloring) for p in forb):
+                    members.append(s)
+            if members and kind == 2:
+                members.remove(rng.choice(members))
+            fam = SetFamily(n, tuple(members))
+        if holds_copy(fam, forb, mode, coloring):
+            with pytest.raises(NotFree):
+                saturation_check(fam, forb, mode, coloring)
+            continue
+        want = next(
+            (
+                s
+                for s in sorted(range(1 << n), key=canonical_key)
+                if s not in fam
+                and not holds_copy(SetFamily(n, fam.members + (s,)), forb, mode, coloring)
+            ),
+            None,
+        )
+        res = saturation_check(fam, forb, mode, coloring)
+        assert (res.saturated, res.counterexample) == (want is None, want)
 
 
 def test_max_free_layers_examples():
