@@ -13,6 +13,21 @@ first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
 
+Chain room (unanchored matcher only).  Let b(e) and a(e) be the lengths
+of the longest chains strictly below and strictly above e: its rank in P
+and its rank in the dual of P.  Every mode maps x < y to phi(x) a proper
+subset of phi(y), so a chain of P maps to sets of strictly increasing
+sizes.  Let s_0 < ... < s_{k-1} be the sizes of the non-empty size
+classes of the family.  The b(e) chain elements below e take b(e)
+distinct sizes below |phi(e)|, hence |phi(e)| >= s_{b(e)}; likewise
+|phi(e)| <= s_{k-1-a(e)}.  A longest chain of P takes height(P) distinct
+sizes, so no copy exists when height(P) > k: find_copy returns None at
+once, after the mode's own errors.  In weak and induced mode, on families
+of at least _ROOM_MIN_SLICED members, each element scans only the members
+with sizes in [s_{b(e)}, s_{k-1-a(e)}], a contiguous slice of the
+canonical order.  Only members that lie in no copy are dropped, so the
+search meets the same first embedding.
+
 Every one-set test (the search, saturation_check, creates_copy_through)
 runs in place through _copy_through: it appends the new set to the
 caller's lists, forces it onto each poset element in turn (placed first in
@@ -39,9 +54,13 @@ from .errors import (
     NotGraded,
 )
 from .family import elements_of
-from .poset import classify_tree, height, rank_assignment
+from .poset import classify_tree, dual, height, rank_assignment
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
+
+# Smaller families (every family over [4] has at most 16 members) scan all
+# members: there, slicing the chain-room windows costs more than it saves.
+_ROOM_MIN_SLICED = 17
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,32 @@ def _element_order(poset, first=0):
 
 
 @lru_cache(maxsize=None)
+def _chain_room(poset):
+    """Per element index, the lengths of the longest chains strictly below
+    it (its rank) and strictly above it (its rank in the dual); and the
+    height."""
+    below = rank_assignment(poset).ranks
+    above = rank_assignment(dual(poset)).ranks
+    room = tuple((below[x], above[x]) for x in poset.elements)
+    return room, 1 + max((b + a for b, a in room), default=-1)
+
+
+def _room_windows(members, by_size, poset):
+    """The members an element can take, as one slice of the canonically
+    ordered members per (below, above) pair, and the pair per element index;
+    (None, None) when no element is cut down (height at most 1) or the
+    family is small."""
+    room, h = _chain_room(poset)
+    if h < 2 or len(members) < _ROOM_MIN_SLICED:
+        return None, None
+    start = [0]
+    for s in sorted(by_size):
+        start.append(start[-1] + len(by_size[s]))
+    k = len(start) - 1
+    return {(b, a): members[start[b]:start[k - a]] for b, a in set(room)}, room
+
+
+@lru_cache(maxsize=None)
 def _graded_ranks(poset):
     ra = rank_assignment(poset)
     return ra.ranks if ra.graded else None
@@ -152,11 +197,12 @@ def _class_setup(poset, mode, coloring):
     return _class_table(poset, [coloring[x] for x in poset.elements])
 
 
-def _backtrack_images(members, by_size, poset, mode, size_of, forced):
+def _backtrack_images(members, groups, poset, mode, key_of, forced):
     """Search for an injective image assignment; returns element-index ->
-    mask dict or None.  forced is None or an (element, mask) pair: that
-    element is placed first, so its neighbours are filtered against it at
-    once."""
+    mask dict or None.  key_of is None (every element scans members) or the
+    key per element index, its set size or its chain room, of its candidates
+    in groups.  forced is None or an (element, mask) pair: that element is
+    placed first, so its neighbours are filtered against it at once."""
     first, mask = forced or (0, None)
     order = _element_order(poset, first)
     n_el = len(order)
@@ -172,7 +218,7 @@ def _backtrack_images(members, by_size, poset, mode, size_of, forced):
         if k == n_el:
             return True
         e = order[k]
-        cand = members if size_of is None else by_size.get(size_of[e], ())
+        cand = members if key_of is None else groups.get(key_of[e], ())
         lower = 0
         upper = -1
         incomp = []
@@ -202,14 +248,18 @@ def _backtrack_images(members, by_size, poset, mode, size_of, forced):
 
 def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
     """First image assignment of the poset into the members (grouped by set
-    size in by_size; a size may map to no members), or None."""
+    size in by_size; a size may map to no members), or None.  Without a
+    forced set, the chain room rule first rules out posets higher than the
+    number of set sizes, then cuts each element's candidates in weak and
+    induced mode."""
     n_el = len(poset.elements)
-    if n_el > len(members):
+    if n_el > len(members) or (forced is None and _chain_room(poset)[1] > len(by_size)):
         if mode in ("rank_preserving", "colored"):
             _class_setup(poset, mode, coloring)  # still surface mode errors
         return None
     if mode in ("weak", "induced"):
-        return _backtrack_images(members, by_size, poset, mode, None, forced)
+        windows, room = (None, None) if forced else _room_windows(members, by_size, poset)
+        return _backtrack_images(members, windows, poset, mode, room, forced)
 
     cls_of, less, class_count = _class_setup(poset, mode, coloring)
     k = len(class_count)

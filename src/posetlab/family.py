@@ -28,6 +28,20 @@ def canonical_key(mask):
     return (bin(mask).count("1"), mask)
 
 
+def canonical_masks(n):
+    """Every mask over [n] in canonical order, one size class at a time in
+    numeric order (Gosper's hack), without a list of all 2^n masks."""
+    yield 0
+    limit = 1 << n
+    for k in range(1, n + 1):
+        m = (1 << k) - 1
+        while m < limit:
+            yield m
+            low = m & -m
+            ripple = m + low
+            m = ripple | ((m ^ ripple) >> 2) // low
+
+
 def mask_of(elements):
     """Bitmask of a collection of 1-based elements."""
     m = 0

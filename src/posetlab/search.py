@@ -38,7 +38,7 @@ from .embed import (
     is_copy_image,
 )
 from .errors import InvalidParam, NotFree
-from .family import SetFamily, canonical_key, middle_layers
+from .family import SetFamily, canonical_masks, middle_layers
 from .poset import height, is_isomorphic, y_poset, y_prime_poset
 
 MAX_SEARCH_N = 12
@@ -99,7 +99,7 @@ def _perm_tables(n):
 class _Searcher:
     def __init__(self, n, forbidden, mode, coloring, cfg, deadline):
         self.n = n
-        self.candidates = sorted(range(1 << n), key=canonical_key)
+        self.candidates = list(canonical_masks(n))
         self.forbidden = tuple(forbidden)
         self.mode = mode
         self.coloring = coloring
@@ -301,7 +301,7 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise InvalidParam(f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}")
     forbidden = tuple(forbidden)
-    masks = sorted(range(1 << n), key=canonical_key)
+    masks = list(canonical_masks(n))
     m = len(masks)
     direct = bytearray(1 << m)
     for p in forbidden:
@@ -359,7 +359,7 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
         raise NotFree(witness)
     members = list(fam.members)
     by_size = {k: list(v) for k, v in fam.by_size.items()}
-    for s in sorted(range(1 << fam.n), key=canonical_key):
+    for s in canonical_masks(fam.n):
         if s not in fam and all(
             _copy_through(members, by_size, p, mode, s, coloring) is None for p in forbidden
         ):
@@ -369,9 +369,10 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
 
 def max_free_layers(poset, n, mode="weak", coloring=None):
     """Largest k such that the k middle layers of [n] avoid the poset in the
-    given mode; 0 when even a single layer contains a copy."""
+    given mode; 0 when even a single layer contains a copy.  Fewer layers
+    than the height of the poset hold no copy, so the scan starts there."""
     ensure_mode_applicable(poset, mode, coloring)
-    for h in range(1, n + 2):
+    for h in range(max(1, height(poset)), n + 2):
         if find_copy(middle_layers(n, h), poset, mode, coloring) is not None:
             return h - 1
     return n + 1

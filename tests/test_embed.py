@@ -1,8 +1,12 @@
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from posetlab import embed
 from posetlab.embed import (
+    MODES,
     InclusionBigraph,
     _copy_through,
     build_inclusion_bigraph,
@@ -24,13 +28,16 @@ from posetlab.errors import (
     InvalidParam,
     NotGraded,
 )
-from posetlab.family import SetFamily, full_layer, middle_layers
+from posetlab.family import SetFamily, f23_construction, full_layer, middle_layers
 from posetlab.poset import (
     all_height2_tree_posets,
+    antichain,
     chain,
     complete_multilevel,
+    height,
     poset_from_covers,
     rank_coloring,
+    t_r3_poset,
     y_poset,
     y_prime_poset,
 )
@@ -225,6 +232,93 @@ def test_check_embedding_rejects_bad_witnesses():
     assert not check_embedding(C2, {"x1": 1, "x2": 1}, "weak", family=fam)
     assert not check_embedding(C2, {"x1": 1}, "weak", family=fam)
     assert not check_embedding(C2, {"x1": 1, "x2": 16}, "weak", family=fam)
+
+
+# ---------------------------------------------------------------------------
+# Chain room: the height exit and the per-element size windows.
+
+ROOM_POSETS = (
+    chain(1), chain(2), chain(3), chain(4),
+    Y12, y_prime_poset(1, 2), Y22, y_prime_poset(2, 2), t_r3_poset(2),
+)
+
+
+def test_find_copy_matches_bruteforce_on_few_size_classes(rng, monkeypatch):
+    """Families with 1 to 3 size classes, so the height exit and the windows
+    both fire; slicing is forced on for these small families."""
+    monkeypatch.setattr(embed, "_ROOM_MIN_SLICED", 0)
+    seen = Counter()
+    for trial in range(800):
+        n = rng.randint(3, 5)
+        mode = MODES[trial % 4]
+        sizes = rng.sample(range(n + 1), rng.randint(1, 3))
+        pool = [m for m in range(1 << n) if m.bit_count() in sizes]
+        k = rng.randint(min(len(pool), 4), min(len(pool), 10))
+        fam = SetFamily(n, tuple(rng.sample(pool, k)))
+        poset = rng.choice([p for p in ROOM_POSETS if len(p.elements) <= k])
+        coloring = None
+        if mode == "colored":
+            coloring = {
+                x: r if rng.random() < 0.5 else 100 + i
+                for i, (x, r) in enumerate(rank_coloring(poset).items())
+            }
+        fast = find_copy(fam, poset, mode, coloring)
+        slow = find_copy_bruteforce(fam, poset, mode, coloring)
+        assert (fast is None) == (slow is None), (fam, poset, mode)
+        if fast is not None:
+            assert check_embedding(poset, fast.mapping, mode, coloring, fam)
+        seen[height(poset) > len(fam.by_size), fast is not None] += 1
+    # cut by the height exit; found and not found past it
+    assert seen[True, True] == 0
+    assert min(seen[True, False], seen[False, True], seen[False, False]) >= 50
+
+
+def test_room_windows_are_the_sizes_an_element_can_take():
+    def sizes_per_element(fam, poset):
+        windows, room = embed._room_windows(fam.members, fam.by_size, poset)
+        return [sorted({m.bit_count() for m in windows[r]}) for r in room]
+
+    fam = middle_layers(5, 3)  # sizes 2, 3, 4
+    assert sizes_per_element(fam, Y22) == [[2], [3], [4], [4]]  # x1, x2, y1, y2
+    assert sizes_per_element(fam, C2) == [[2, 3], [3, 4]]
+    assert embed._room_windows(fam.members, fam.by_size, antichain(3)) == (None, None)
+    small = SetFamily(4, tuple(full_layer(4, 1) + full_layer(4, 2)))
+    assert embed._room_windows(small.members, small.by_size, C2) == (None, None)
+
+
+THREE_CLASSES = SetFamily(5, tuple(full_layer(5, 1) + full_layer(5, 3) + full_layer(5, 4)))
+
+
+@pytest.mark.parametrize("fam, poset, mode, pinned", [
+    (middle_layers(5, 3), Y22, "weak", {"x1": 3, "x2": 7, "y1": 15, "y2": 23}),
+    (middle_layers(5, 3), chain(3), "induced", {"x1": 3, "x2": 7, "x3": 15}),
+    (middle_layers(6, 2), y_prime_poset(1, 2), "induced", {"x1": 15, "y1": 7, "y2": 11}),
+    (f23_construction(6), y_prime_poset(1, 3), "weak", None),
+    (THREE_CLASSES, t_r3_poset(2), "weak", {"r0": 1, "m1": 7, "m2": 11, "t1": 15, "t2": 27}),
+    (THREE_CLASSES, y_poset(2, 1), "rank_preserving", {"x1": 1, "x2": 7, "y1": 15}),
+    (middle_layers(6, 3), t_r3_poset(2), "colored",
+     {"r0": 3, "m1": 7, "m2": 11, "t1": 15, "t2": 27}),
+    (middle_layers(6, 2), t_r3_poset(2), "weak", None),
+])
+def test_find_copy_witness_is_pinned(fam, poset, mode, pinned):
+    """Witnesses recorded before the chain-room rule: it only drops
+    candidates that lie in no copy, so the first embedding stays put."""
+    coloring = rank_coloring(poset) if mode == "colored" else None
+    emb = find_copy(fam, poset, mode, coloring)
+    assert (None if emb is None else emb.mapping) == pinned
+
+
+def test_height_exit_still_raises_mode_errors():
+    fam = middle_layers(6, 2)  # two size classes, so height 3 exits at once
+    skewed = poset_from_covers("abcd", [("a", "b"), ("b", "c"), ("d", "c")])
+    with pytest.raises(NotGraded):
+        find_copy(fam, skewed, "rank_preserving")
+    with pytest.raises(InvalidColoring):
+        find_copy(fam, t_r3_poset(2), "colored")
+    with pytest.raises(InvalidColoring):
+        find_copy(fam, chain(3), "colored", {"x1": 0, "x2": 0, "x3": 1})
+    assert find_copy(fam, chain(3), "colored", rank_coloring(chain(3))) is None
+    assert find_copy(fam, skewed, "weak") is None
 
 
 # ---------------------------------------------------------------------------

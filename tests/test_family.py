@@ -6,6 +6,8 @@ from hypothesis import given
 from posetlab.errors import ElementOutOfRange, InvalidParam, OddN, ParseError
 from posetlab.family import (
     SetFamily,
+    canonical_key,
+    canonical_masks,
     elements_of,
     f23_construction,
     f23_formula_size,
@@ -30,6 +32,11 @@ def test_mask_round_trip():
 def test_canonical_member_order():
     fam = SetFamily(3, (0b111, 0b001, 0b010, 0b011, 0b001))
     assert fam.members == (0b001, 0b010, 0b011, 0b111)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_masks_is_the_sorted_powerset(n):
+    assert list(canonical_masks(n)) == sorted(range(1 << n), key=canonical_key)
 
 
 def test_mask_out_of_range():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from posetlab.family import SetFamily, canonical_key, middle_layers, sigma
 from posetlab.poset import (
     antichain,
     chain,
+    complete_multilevel,
     poset_from_covers,
     rank_coloring,
     t_r3_poset,
@@ -286,6 +288,33 @@ def test_saturation_check_matches_definition(rng):
         )
         res = saturation_check(fam, forb, mode, coloring)
         assert (res.saturated, res.counterexample) == (want is None, want)
+
+
+def test_saturation_check_stops_at_the_first_counterexample():
+    """The probes run in canonical order without a list of all 2^n masks."""
+    tracemalloc.start()
+    try:
+        res = saturation_check(SetFamily(20, (0,)), [chain(3)], "weak")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.saturated, res.counterexample) == (False, 1)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("mode", ["weak", "induced", "rank_preserving"])
+def test_max_free_layers_matches_scan_from_one_layer(mode):
+    """Starting at the height skips only layer counts too few to hold a copy."""
+    posets = [chain(1), chain(2), chain(3), chain(5), antichain(3), Y12, Y12P, Y22, Y22P,
+              y_poset(1, 3), t_r3_poset(2), complete_multilevel([2, 2])]
+    for poset in posets:
+        for n in range(1, 8):
+            want = next(
+                (h - 1 for h in range(1, n + 2)
+                 if find_copy(middle_layers(n, h), poset, mode) is not None),
+                n + 1,
+            )
+            assert max_free_layers(poset, n, mode) == want, (poset, n)
 
 
 def test_max_free_layers_examples():
