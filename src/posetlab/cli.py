@@ -148,14 +148,13 @@ def _cmd_poset_show(args):
     if not (args.named or args.file):
         raise UsageError("poset show needs --file or --named")
     poset = parse_poset_spec(args.named or args.file)
-    ra = rank_assignment(poset)
     _emit(
         {
             "elements": list(poset.elements),
             "covers": [list(c) for c in poset.covers],
             "height": height(poset),
-            "graded": ra.graded,
-            "ranks": ra.ranks,
+            "graded": poset.graded,
+            "ranks": rank_assignment(poset).ranks,
             "classification": classify_tree(poset),
         },
         args.format,

@@ -12,6 +12,9 @@ and the intersection of assigned upper images.  The size-constrained modes
 first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
+The order data of a poset (Hasse orders, chain room, height, rank
+classes) is cached on the Poset; a coloring's class table is built once
+per find_copy, creates_copy_through, saturation_check or search.
 
 Chain room (unanchored matcher only).  Let b(e) and a(e) be the lengths
 of the longest chains strictly below and strictly above e: its rank in P
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import (
@@ -51,10 +54,9 @@ from .errors import (
     EmbedFailed,
     InvalidColoring,
     InvalidParam,
-    NotGraded,
 )
 from .family import elements_of
-from .poset import classify_tree, dual, height, rank_assignment
+from .poset import classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
 
@@ -104,42 +106,7 @@ def _check_mode(mode):
 def ensure_mode_applicable(poset, mode, coloring=None):
     """Raise the mode's precondition errors (NotGraded, InvalidColoring)
     without running any search."""
-    _check_mode(mode)
-    if mode in ("rank_preserving", "colored"):
-        _class_setup(poset, mode, coloring)
-
-
-@lru_cache(maxsize=None)
-def _element_order(poset, first=0):
-    """DFS order over the Hasse graph from element first, so almost every
-    element is placed next to an already-placed neighbour."""
-    n = len(poset.elements)
-    order = []
-    seen = [False] * n
-    for root in (first, *range(n)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j in reversed(poset.neighbours[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-    return tuple(order)
-
-
-@lru_cache(maxsize=None)
-def _chain_room(poset):
-    """Per element index, the lengths of the longest chains strictly below
-    it (its rank) and strictly above it (its rank in the dual); and the
-    height."""
-    below = rank_assignment(poset).ranks
-    above = rank_assignment(dual(poset)).ranks
-    room = tuple((below[x], above[x]) for x in poset.elements)
-    return room, 1 + max((b + a for b, a in room), default=-1)
+    _class_setup(poset, mode, coloring)
 
 
 def _room_windows(members, by_size, poset):
@@ -147,54 +114,27 @@ def _room_windows(members, by_size, poset):
     ordered members per (below, above) pair, and the pair per element index;
     (None, None) when no element is cut down (height at most 1) or the
     family is small."""
-    room, h = _chain_room(poset)
-    if h < 2 or len(members) < _ROOM_MIN_SLICED:
+    if poset.height < 2 or len(members) < _ROOM_MIN_SLICED:
         return None, None
     start = [0]
     for s in sorted(by_size):
         start.append(start[-1] + len(by_size[s]))
     k = len(start) - 1
+    room = poset.chain_room
     return {(b, a): members[start[b]:start[k - a]] for b, a in set(room)}, room
 
 
-@lru_cache(maxsize=None)
-def _graded_ranks(poset):
-    ra = rank_assignment(poset)
-    return ra.ranks if ra.graded else None
-
-
-def _class_table(poset, raw):
-    """Class index per element, the strict between-class order and the
-    class sizes, all as tuples."""
-    ids = sorted(set(raw))
-    cid = {c: i for i, c in enumerate(ids)}
-    cls_of = tuple(cid[c] for c in raw)
-    k = len(ids)
-    less = [[False] * k for _ in range(k)]
-    n = len(poset.elements)
-    for i in range(n):
-        for j in range(n):
-            if i != j and poset.up[i] >> j & 1:
-                less[cls_of[i]][cls_of[j]] = True
-    class_count = tuple(cls_of.count(c) for c in range(k))
-    return cls_of, tuple(map(tuple, less)), class_count
-
-
-@lru_cache(maxsize=None)
-def _rank_class_table(poset):
-    ranks = _graded_ranks(poset)
-    if ranks is None:
-        raise NotGraded("rank-preserving copies need a graded poset")
-    return _class_table(poset, [ranks[x] for x in poset.elements])
-
-
 def _class_setup(poset, mode, coloring):
-    """Class index per element plus the strict between-class order; the
-    rank classes are built once per poset and shared."""
+    """The mode's Poset.class_table (None in weak and induced mode), after
+    its precondition errors.  Callers build it once per poset and coloring
+    and pass it to the matcher."""
+    _check_mode(mode)
     if mode == "rank_preserving":
-        return _rank_class_table(poset)
-    validate_coloring(poset, coloring)
-    return _class_table(poset, [coloring[x] for x in poset.elements])
+        return poset.rank_classes
+    if mode == "colored":
+        validate_coloring(poset, coloring)
+        return poset.class_table([coloring[x] for x in poset.elements])
+    return None
 
 
 def _backtrack_images(members, groups, poset, mode, key_of, forced):
@@ -204,7 +144,7 @@ def _backtrack_images(members, groups, poset, mode, key_of, forced):
     in groups.  forced is None or an (element, mask) pair: that element is
     placed first, so its neighbours are filtered against it at once."""
     first, mask = forced or (0, None)
-    order = _element_order(poset, first)
+    order = poset.hasse_orders[first]
     n_el = len(order)
     up, down = poset.up, poset.down
     induced = mode == "induced"
@@ -246,29 +186,23 @@ def _backtrack_images(members, groups, poset, mode, key_of, forced):
     return dict(image) if extend(len(image)) else None
 
 
-def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
+def _find_embedding(members, by_size, poset, mode, classes, forced=None):
     """First image assignment of the poset into the members (grouped by set
-    size in by_size; a size may map to no members), or None.  Without a
-    forced set, the chain room rule first rules out posets higher than the
-    number of set sizes, then cuts each element's candidates in weak and
-    induced mode."""
-    n_el = len(poset.elements)
-    if n_el > len(members) or (forced is None and _chain_room(poset)[1] > len(by_size)):
-        if mode in ("rank_preserving", "colored"):
-            _class_setup(poset, mode, coloring)  # still surface mode errors
+    size in by_size; a size may map to no members), or None.  classes is
+    the mode's table from _class_setup.  Without a forced set, the chain
+    room rule first rules out posets higher than the number of set sizes,
+    then cuts each element's candidates in weak and induced mode."""
+    if len(poset.elements) > len(members) or (forced is None and poset.height > len(by_size)):
         return None
-    if mode in ("weak", "induced"):
+    if classes is None:
         windows, room = (None, None) if forced else _room_windows(members, by_size, poset)
         return _backtrack_images(members, windows, poset, mode, room, forced)
 
-    cls_of, less, class_count = _class_setup(poset, mode, coloring)
+    cls_of, less, class_count = classes
     k = len(class_count)
     sizes_avail = sorted(by_size)
     counts = {s: len(by_size[s]) for s in sizes_avail}
-    forced_sizes = {}
-    if forced:
-        e, mask = forced
-        forced_sizes[cls_of[e]] = mask.bit_count()
+    forced_sizes = {cls_of[forced[0]]: forced[1].bit_count()} if forced else {}
     assign = [None] * k
     found = None
 
@@ -287,7 +221,7 @@ def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
             if need > counts[s]:
                 continue
             if any(
-                (less[cj][ci] and assign[cj] >= s) or (less[ci][cj] and s >= assign[cj])
+                ((cj, ci) in less and assign[cj] >= s) or ((ci, cj) in less and s >= assign[cj])
                 for cj in range(ci)
             ):
                 continue
@@ -301,7 +235,7 @@ def _find_embedding(members, by_size, poset, mode, coloring, forced=None):
     return found
 
 
-def _copy_through(members, by_size, poset, mode, new_mask, coloring):
+def _copy_through(members, by_size, poset, mode, new_mask, classes):
     """Image (element index -> mask) of a copy that uses new_mask, or None.
     new_mask joins the lists members and by_size (the same sets by size)
     for the test and leaves again, even on an error.  Placed first and
@@ -312,7 +246,7 @@ def _copy_through(members, by_size, poset, mode, new_mask, coloring):
     group.append(new_mask)
     try:
         for e in range(len(poset.elements)):
-            image = _find_embedding(members, by_size, poset, mode, coloring, (e, new_mask))
+            image = _find_embedding(members, by_size, poset, mode, classes, (e, new_mask))
             if image is not None:
                 return image
         return None
@@ -327,8 +261,8 @@ def _to_embedding(image, poset, mode):
 
 def find_copy(fam, poset, mode="weak", coloring=None):
     """First copy of the poset in the family under the given mode, or None."""
-    _check_mode(mode)
-    image = _find_embedding(fam.members, fam.by_size, poset, mode, coloring)
+    classes = _class_setup(poset, mode, coloring)
+    image = _find_embedding(fam.members, fam.by_size, poset, mode, classes)
     return None if image is None else _to_embedding(image, poset, mode)
 
 
@@ -346,8 +280,9 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
         raise AlreadyMember(f"mask {new_mask} is already a member")
     if not 0 <= new_mask < 1 << fam.n:
         raise ElementOutOfRange(f"mask {new_mask} does not fit in [{fam.n}]")
+    classes = _class_setup(poset, mode, coloring)
     by_size = {k: list(v) for k, v in fam.by_size.items()}
-    image = _copy_through(list(fam.members), by_size, poset, mode, new_mask, coloring)
+    image = _copy_through(list(fam.members), by_size, poset, mode, new_mask, classes)
     return None if image is None else _to_embedding(image, poset, mode)
 
 
@@ -370,12 +305,10 @@ def _first_copy(assignments, poset, mode, coloring):
             for j in range(i + 1, n)
             if not (poset.up[i] >> j & 1 or poset.up[j] >> i & 1)
         ]
-    same_class = []
-    if mode in ("rank_preserving", "colored"):
-        cls_of, _, _ = _class_setup(poset, mode, coloring)
-        same_class = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if cls_of[i] == cls_of[j]
-        ]
+    classes = _class_setup(poset, mode, coloring)
+    same_class = [] if classes is None else [
+        (i, j) for i in range(n) for j in range(i + 1, n) if classes[0][i] == classes[0][j]
+    ]
     for masks in assignments:
         if any(masks[i] & ~masks[j] for i, j in strict):
             continue
@@ -529,9 +462,9 @@ def greedy_tree_embed(graph, tree):
     Succeeds whenever the graph has minimum degree >= |tree| - 1; with less
     it may raise EmbedFailed even though an embedding exists.
     """
-    if classify_tree(tree) == "not_tree" or height(tree) != 2:
+    if classify_tree(tree) == "not_tree" or tree.height != 2:
         raise InvalidParam("need a height-2 tree poset")
-    ranks = rank_assignment(tree).ranks
+    ranks = tree.ranks
     parent = {0: None}
     order = [0]
     queue = [0]
@@ -547,7 +480,7 @@ def greedy_tree_embed(graph, tree):
     used = (set(), set())
     slot = {}
     for e in order:
-        side = ranks[tree.elements[e]]
+        side = ranks[e]
         if parent[e] is None:
             pool = range(len(sides[side]))
         else:
@@ -558,5 +491,5 @@ def greedy_tree_embed(graph, tree):
             raise EmbedFailed(tree.elements[e])
         slot[e] = choice
         used[side].add(choice)
-    mapping = {tree.elements[e]: sides[ranks[tree.elements[e]]][v] for e, v in slot.items()}
+    mapping = {tree.elements[e]: sides[ranks[e]][v] for e, v in slot.items()}
     return Embedding(mapping, "rank_preserving")

@@ -5,6 +5,9 @@ the full order relation fits in one bitmask per element: ``up[i]`` has bit
 ``j`` set iff element i <= element j.  Construction goes through
 :func:`poset_from_covers`, which closes, checks acyclicity and stores the
 transitively reduced cover list; instances are immutable afterwards.
+Everything derived from the order (relation bitmasks, Hasse lists and
+orders, ranks, chain room, height, rank classes) is a cached property,
+computed once per instance; no module keeps a table keyed by a poset.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import CycleError, DuplicateLabel, InvalidParam
+from .errors import CycleError, DuplicateLabel, InvalidParam, NotGraded
 
 MAX_ELEMENTS = 64
 
@@ -96,6 +99,65 @@ class Poset:
                     down[j] |= 1 << i
         return tuple(down)
 
+    @cached_property
+    def ranks(self):
+        """ranks[i]: length of the longest chain strictly below element i."""
+        return _longest_chains(self.cover_parents, self.down)
+
+    @cached_property
+    def graded(self):
+        """Every cover jumps exactly one rank."""
+        idx, rank = self.index, self.ranks
+        return all(rank[idx[b]] - rank[idx[a]] == 1 for a, b in self.covers)
+
+    @cached_property
+    def chain_room(self):
+        """chain_room[i]: the lengths of the longest chains strictly below
+        and strictly above element i, its ranks in the poset and its dual."""
+        return tuple(zip(self.ranks, _longest_chains(self.cover_children, self.up)))
+
+    @cached_property
+    def height(self):
+        """Number of elements of a longest chain (0 for the empty poset)."""
+        return 1 + max(self.ranks, default=-1)
+
+    @cached_property
+    def hasse_orders(self):
+        """hasse_orders[f]: DFS order over the Hasse graph from element f, so
+        every element but the root of each component follows a neighbour."""
+        n = len(self.elements)
+        orders = []
+        for first in range(n):
+            order, seen = [], set()
+            for root in (first, *range(n)):
+                stack = [] if root in seen else [root]
+                seen.add(root)
+                while stack:
+                    i = stack.pop()
+                    order.append(i)
+                    fresh = [j for j in reversed(self.neighbours[i]) if j not in seen]
+                    seen.update(fresh)
+                    stack += fresh
+            orders.append(tuple(order))
+        return tuple(orders)
+
+    def class_table(self, raw):
+        """Class index per element for the labels raw (one per element), the
+        strict between-class order as (lower, upper) pairs, the class sizes."""
+        ids = sorted(set(raw))
+        cls_of = tuple(ids.index(c) for c in raw)
+        n = len(self.elements)
+        less = frozenset((cls_of[i], cls_of[j]) for i in range(n) for j in range(n)
+                         if i != j and self.up[i] >> j & 1)
+        return cls_of, less, tuple(cls_of.count(c) for c in range(len(ids)))
+
+    @cached_property
+    def rank_classes(self):
+        """The class table of the rank classes; NotGraded unless graded."""
+        if not self.graded:
+            raise NotGraded("rank-preserving copies need a graded poset")
+        return self.class_table(self.ranks)
+
     def le(self, a, b):
         """a <= b in the partial order (labels)."""
         return self.up[self.index[a]] >> self.index[b] & 1 == 1
@@ -152,6 +214,15 @@ def poset_from_covers(elements, covers):
     return Poset(labels, tuple(sorted(reduced)))
 
 
+def _longest_chains(links, reach):
+    """Per element index, the edge count of the longest path along links
+    (cover parents or children); linked elements reach fewer elements."""
+    length = [0] * len(links)
+    for i in sorted(range(len(links)), key=lambda i: reach[i].bit_count()):
+        length[i] = 1 + max((length[j] for j in links[i]), default=-1)
+    return tuple(length)
+
+
 def dual(p):
     """The same elements with the order reversed."""
     return Poset(p.elements, tuple(sorted((b, a) for a, b in p.covers)))
@@ -167,26 +238,17 @@ class RankAssignment:
 
 def rank_assignment(p):
     """rank(x) = edge count of the longest chain ending at x."""
-    n = len(p.elements)
-    rank = [0] * n
-    order = sorted(range(n), key=lambda i: bin(p.down[i]).count("1"))
-    for i in order:
-        parents = p.cover_parents[i]
-        rank[i] = 1 + max((rank[j] for j in parents), default=-1)
-    graded = all(rank[p.index[b]] - rank[p.index[a]] == 1 for a, b in p.covers)
-    return RankAssignment({x: rank[i] for i, x in enumerate(p.elements)}, graded)
+    return RankAssignment(dict(zip(p.elements, p.ranks)), p.graded)
 
 
 def height(p):
     """Number of levels: 1 + max rank (0 for the empty poset)."""
-    if not p.elements:
-        return 0
-    return 1 + max(rank_assignment(p).ranks.values())
+    return p.height
 
 
 def rank_coloring(p):
     """Coloring by rank; classes are antichains for any poset."""
-    return dict(rank_assignment(p).ranks)
+    return dict(zip(p.elements, p.ranks))
 
 
 def classify_tree(p):
@@ -202,17 +264,11 @@ def classify_tree(p):
         return "not_tree"
     if len(p.covers) != n - 1:
         return "not_tree"
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in p.neighbours[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    if not all(seen):
-        return "not_tree"
+    placed = set()
+    for i in p.hasse_orders[0]:  # connected iff no element starts a new component
+        if placed and placed.isdisjoint(p.neighbours[i]):
+            return "not_tree"
+        placed.add(i)
     minimal = [i for i in range(n) if not p.cover_parents[i]]
     maximal = [i for i in range(n) if not p.cover_children[i]]
     if len(minimal) == 1:
@@ -438,11 +494,20 @@ def poset_to_json(p):
     )
 
 
+def _is_labels(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def poset_from_json(text):
+    """Parse the JSON file format; labels must be strings and each cover a
+    [below, above] pair of them."""
     try:
         obj = json.loads(text)
-        elements = obj["elements"]
-        covers = [tuple(c) for c in obj["covers"]]
+        elements, covers = obj["elements"], obj["covers"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InvalidParam(f"malformed poset JSON: {exc}") from exc
-    return poset_from_covers(elements, covers)
+    if not (_is_labels(elements) and isinstance(covers, list)
+            and all(_is_labels(c) and len(c) == 2 for c in covers)):
+        raise InvalidParam("malformed poset JSON: need a list of string labels "
+                           "and a list of [below, above] label pairs")
+    return poset_from_covers(elements, [tuple(c) for c in covers])

@@ -32,6 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .embed import (
+    _class_setup,
     _copy_through,
     ensure_mode_applicable,
     find_copy,
@@ -97,12 +98,11 @@ def _perm_tables(n):
 
 
 class _Searcher:
-    def __init__(self, n, forbidden, mode, coloring, cfg, deadline):
+    def __init__(self, n, forbidden, mode, classes, cfg, deadline):
         self.n = n
         self.candidates = list(canonical_masks(n))
-        self.forbidden = tuple(forbidden)
+        self.forbidden = tuple(zip(forbidden, classes))
         self.mode = mode
-        self.coloring = coloring
         self.deadline = deadline
         self.symmetry = cfg.symmetry_pruning
         if self.symmetry and n > MAX_SYMMETRY_N:
@@ -110,7 +110,7 @@ class _Searcher:
         self.tables = _perm_tables(n) if self.symmetry else None
         self.cap = None
         if mode in ("weak", "rank_preserving"):
-            self.cap = _detect_y_pair(self.forbidden)
+            self.cap = _detect_y_pair(forbidden)
         self.included = []
         self.by_size = {}  # the included sets grouped by size, canonical order
         self.chain_len = {}
@@ -160,8 +160,8 @@ class _Searcher:
                 continue
             todo.append((i + 1, len(inc)))  # exclude branch, after the include subtree
             s = self.candidates[i]
-            if all(_copy_through(inc, self.by_size, p, self.mode, s, self.coloring) is None
-                   for p in self.forbidden):
+            if all(_copy_through(inc, self.by_size, p, self.mode, s, classes) is None
+                   for p, classes in self.forbidden):
                 self._push(s)
                 if len(inc) > self.best_size:
                     self.best_size, self.best_members = len(inc), tuple(inc)
@@ -260,8 +260,7 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
     if not 1 <= n <= MAX_SEARCH_N:
         raise InvalidParam(f"search supports 1 <= n <= {MAX_SEARCH_N}")
     forbidden = tuple(forbidden)
-    for p in forbidden:
-        ensure_mode_applicable(p, mode, coloring)
+    classes = tuple(_class_setup(p, mode, coloring) for p in forbidden)
     cfg = cfg or SearchConfig()
     if cfg.workers < 1:
         raise InvalidParam("workers must be at least 1")
@@ -270,7 +269,7 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
     deadline = None
     if cfg.budget_ms is not None:
         deadline = time.monotonic() + cfg.budget_ms / 1000.0
-    setup = (n, forbidden, mode, coloring, cfg, deadline)
+    setup = (n, forbidden, mode, classes, cfg, deadline)
     searcher = _Searcher(*setup)
     stop = None
     if cfg.workers > 1:
@@ -357,11 +356,12 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
     free, witness = verify_free(fam, forbidden, mode, coloring)
     if not free:
         raise NotFree(witness)
+    tables = [(p, _class_setup(p, mode, coloring)) for p in forbidden]
     members = list(fam.members)
     by_size = {k: list(v) for k, v in fam.by_size.items()}
     for s in canonical_masks(fam.n):
         if s not in fam and all(
-            _copy_through(members, by_size, p, mode, s, coloring) is None for p in forbidden
+            _copy_through(members, by_size, p, mode, s, classes) is None for p, classes in tables
         ):
             return SaturationResult(False, s)
     return SaturationResult(True, None)

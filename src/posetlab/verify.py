@@ -26,7 +26,7 @@ from .embed import (
     greedy_tree_embed,
     min_degree_subgraph,
 )
-from .errors import NotFree, NotGraded
+from .errors import InvalidParam, NotFree, NotGraded
 from .family import (
     SetFamily,
     f23_construction,
@@ -39,7 +39,6 @@ from .poset import (
     all_height2_tree_posets,
     chain,
     poset_from_covers,
-    rank_assignment,
     rank_coloring,
     y_poset,
     y_prime_poset,
@@ -353,7 +352,7 @@ def check_copy_detector(triples, seed):
         coloring = None
         if mode == "colored":
             coloring = rank_coloring(poset)
-        if mode == "rank_preserving" and not rank_assignment(poset).graded:
+        if mode == "rank_preserving" and not poset.graded:
             try:
                 find_copy(fam, poset, mode)
                 got = "found"
@@ -390,6 +389,8 @@ def check_copy_detector(triples, seed):
 
 def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED, workers=1):
     """Run the named suite; returns a JSON-ready report dict."""
+    if max_n < 2:
+        raise InvalidParam("verify needs max_n >= 2")
     fast = suite == "fast"
     families_per_n = 20 if fast else 100
     kleitman_count = 200 if fast else 1000

@@ -131,10 +131,17 @@ def test_creates_copy_through_rejects_bad_masks(mask, error):
         creates_copy_through(SetFamily(3, (0b001, 0b011)), C2, "weak", mask)
 
 
-def test_copy_through_restores_lists_when_coloring_is_invalid():
+def test_copy_through_restores_lists_on_error(monkeypatch):
+    with pytest.raises(InvalidColoring):  # raised before any list is touched
+        creates_copy_through(SetFamily(2, (0b01,)), C2, "colored", 0b11, {"x1": 0})
+
+    def interrupted(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(embed, "_find_embedding", interrupted)
     members, by_size = [0b01], {1: [0b01]}
-    with pytest.raises(InvalidColoring):
-        _copy_through(members, by_size, C2, "colored", 0b11, {"x1": 0})
+    with pytest.raises(RuntimeError):
+        _copy_through(members, by_size, C2, "weak", 0b11, None)
     assert members == [0b01]
     assert by_size == {1: [0b01], 2: []}
 

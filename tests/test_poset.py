@@ -6,6 +6,7 @@ from hypothesis import given
 
 from posetlab.errors import CycleError, DuplicateLabel, InvalidParam
 from posetlab.poset import (
+    RankAssignment,
     all_height2_tree_posets,
     antichain,
     chain,
@@ -175,6 +176,9 @@ def test_classify_tree():
     assert classify_tree(chain(3)) == "monotone_increasing"
     n_poset = poset_from_covers("abcd", [("a", "b"), ("c", "b"), ("c", "d")])
     assert classify_tree(n_poset) == "tree"
+    # as many covers as a tree, but a 4-cycle plus an isolated element
+    diamond = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    assert classify_tree(poset_from_covers("abcde", diamond)) == "not_tree"
 
 
 def test_generators_are_graded_with_unit_cover_jumps():
@@ -192,6 +196,44 @@ def test_y_generator_properties():
             assert height(p) == h + 1
             assert rank_assignment(p).graded
             assert classify_tree(p) == "monotone_increasing"
+
+
+@given(posets())
+def test_cached_order_data_matches_independent_routes(p):
+    """The order data cached on the poset against routes that do not share
+    its code: chain lengths by recursion over the relation, the ranks of the
+    dual, and networkx on the Hasse graph."""
+    n = len(p.elements)
+
+    def longest_chains(rel):
+        """Per element i, the longest chain among the other elements of rel[i]."""
+        memo = {}
+
+        def walk(i):
+            if i not in memo:
+                side = [j for j in range(n) if j != i and rel[i] >> j & 1]
+                memo[i] = max((1 + walk(j) for j in side), default=0)
+            return memo[i]
+
+        return [walk(i) for i in range(n)]
+
+    below, above = longest_chains(p.down), longest_chains(p.up)
+    graded = all(below[p.index[b]] - below[p.index[a]] == 1 for a, b in p.covers)
+    assert list(p.ranks) == below and p.graded == graded
+    assert rank_assignment(p) == RankAssignment(dict(zip(p.elements, below)), graded)
+    assert p.chain_room == tuple(zip(below, above)) == tuple(zip(below, dual(p).ranks))
+    assert p.height == height(p) == 1 + max(b + a for b, a in p.chain_room)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((p.index[a], p.index[b]) for a, b in p.covers)
+    assert (classify_tree(p) != "not_tree") == nx.is_tree(graph)
+    for first, order in enumerate(p.hasse_orders):
+        assert order[0] == first and sorted(order) == list(range(n))
+        for k, i in enumerate(order):
+            # each element follows a neighbour, or starts a new component
+            placed = set(order[:k])
+            assert not placed.isdisjoint(p.neighbours[i]) or placed.isdisjoint(
+                nx.node_connected_component(graph, i))
 
 
 @given(posets())

@@ -3,6 +3,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlab.embed import MODES, find_copy, find_copy_bruteforce
 from posetlab.errors import InvalidParam, NotFree, NotGraded
@@ -26,7 +28,7 @@ from posetlab.search import (
     saturation_check,
     verify_free,
 )
-from strategies import random_family, random_graded_poset
+from strategies import posets, random_family, random_graded_poset
 
 C2 = chain(2)
 Y12, Y12P = y_poset(1, 2), y_prime_poset(1, 2)
@@ -105,6 +107,30 @@ def test_search_tree_is_pinned(mode, forbidden, coloring, pinned):
     out = la_exact(4, forbidden, mode, coloring=coloring)
     assert out.exact
     assert (out.value, out.nodes_explored, out.witness.members) == pinned
+
+
+@settings(max_examples=100)
+@given(forbidden=st.lists(posets(max_elements=4), min_size=1, max_size=2),
+       n=st.integers(1, 4), mode=st.sampled_from(MODES), workers=st.sampled_from((1, 2)),
+       symmetry=st.booleans(), own_class=st.integers(0, 15))
+def test_la_exact_matches_exhaustive_oracle(forbidden, n, mode, workers, symmetry, own_class):
+    coloring = None
+    if mode == "colored":
+        # one poset: rank classes, the elements in own_class on classes of their own
+        forbidden = forbidden[:1]
+        coloring = {x: 100 + i if own_class >> i & 1 else r
+                    for i, (x, r) in enumerate(rank_coloring(forbidden[0]).items())}
+    cfg = SearchConfig(workers=workers, symmetry_pruning=symmetry)
+    try:
+        want = exhaustive_max_free(n, forbidden, mode, coloring)
+    except NotGraded:
+        with pytest.raises(NotGraded):
+            la_exact(n, forbidden, mode, cfg, coloring)
+        return
+    got = la_exact(n, forbidden, mode, cfg, coloring)
+    assert got.exact and got.value == len(got.witness) == want.value == len(want.witness)
+    for witness in (got.witness, want.witness):
+        assert verify_free(witness, forbidden, mode, coloring) == (True, None)
 
 
 def test_parallel_witness_ties_resolve_in_branch_order():
