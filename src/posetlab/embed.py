@@ -31,11 +31,23 @@ with sizes in [s_{b(e)}, s_{k-1-a(e)}], a contiguous slice of the
 canonical order.  Only members that lie in no copy are dropped, so the
 search meets the same first embedding.
 
+Interval route.  Once an element has placed comparable neighbours, its
+image must lie in the interval [lower, upper]: lower is the union of the
+images below it, upper the intersection of the images above it (the
+ground set [n] when none is placed).  On candidate lists of at least
+_INTERVAL_MIN sets, when the interval holds fewer points of the sizes the
+element may take (its class size, its chain-room window, or every size of
+the family) than 1 / _INTERVAL_COST per candidate, the matcher lists those
+points, size by size in ascending order, keeps the ones in the family's
+member set and scans only these.  They are exactly the candidates the scan
+would let through the interval test, in the same canonical order, so every
+embedding, witness and counterexample is the one the scan finds.
+
 Every one-set test (the search, saturation_check, creates_copy_through)
-runs in place through _copy_through: it appends the new set to the
-caller's lists, forces it onto each poset element in turn (placed first in
-a Hasse-connected order from there, so every later candidate is filtered
-against it) and pops it again.
+runs in place through _copy_through on a _Pool: it appends the new set to
+the caller's members, size groups and member set, forces it onto each
+poset element in turn (placed first in a Hasse-connected order from there,
+so every later candidate is filtered against it) and removes it again.
 
 Tie-breaking is fixed: candidate images in canonical family order, class
 sizes ascending, so the returned witness is deterministic.  It is the
@@ -47,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
+from math import comb
 
 from .errors import (
     AlreadyMember,
@@ -63,6 +76,13 @@ MODES = ("weak", "induced", "rank_preserving", "colored")
 # Smaller families (every family over [4] has at most 16 members) scan all
 # members: there, slicing the chain-room windows costs more than it saves.
 _ROOM_MIN_SLICED = 17
+
+# The interval route: candidate lists shorter than _INTERVAL_MIN are always
+# scanned (every family over [6] has at most 64 members, so the searches up
+# to n = 6 keep the scan), longer ones are listed from the interval when it
+# holds fewer than 1 / _INTERVAL_COST points per candidate.
+_INTERVAL_MIN = 65
+_INTERVAL_COST = 4
 
 
 @dataclass(frozen=True)
@@ -110,18 +130,20 @@ def ensure_mode_applicable(poset, mode, coloring=None):
 
 
 def _room_windows(members, by_size, poset):
-    """The members an element can take, as one slice of the canonically
-    ordered members per (below, above) pair, and the pair per element index;
+    """Per element index, the members it can take (one slice of the
+    canonically ordered members) and, in a second list, their set sizes;
     (None, None) when no element is cut down (height at most 1) or the
     family is small."""
     if poset.height < 2 or len(members) < _ROOM_MIN_SLICED:
         return None, None
+    sizes = sorted(by_size)
     start = [0]
-    for s in sorted(by_size):
+    for s in sizes:
         start.append(start[-1] + len(by_size[s]))
-    k = len(start) - 1
+    k = len(sizes)
     room = poset.chain_room
-    return {(b, a): members[start[b]:start[k - a]] for b, a in set(room)}, room
+    windows = {(b, a): members[start[b]:start[k - a]] for b, a in set(room)}
+    return [windows[r] for r in room], [tuple(sizes[b:k - a]) for b, a in room]
 
 
 def _class_setup(poset, mode, coloring):
@@ -137,12 +159,45 @@ def _class_setup(poset, mode, coloring):
     return None
 
 
-def _backtrack_images(members, groups, poset, mode, key_of, forced):
-    """Search for an injective image assignment; returns element-index ->
-    mask dict or None.  key_of is None (every element scans members) or the
-    key per element index, its set size or its chain room, of its candidates
-    in groups.  forced is None or an (element, mask) pair: that element is
-    placed first, so its neighbours are filtered against it at once."""
+def _interval_members(cand, sizes, lower, upper, member_set):
+    """The members of cand inside [lower, upper], in cand's order, listed
+    lazily from the interval's points of the given sizes (the sizes of
+    cand) when cand is at least _INTERVAL_MIN long and those points are
+    fewer, by _INTERVAL_COST, than the candidates; otherwise cand itself,
+    to be scanned."""
+    if len(cand) < _INTERVAL_MIN:
+        return cand
+    if lower & ~upper:
+        return ()
+    free = upper & ~lower
+    f, base = free.bit_count(), lower.bit_count()
+    picks = [k - base for k in sizes if base <= k <= base + f]
+    if sum([comb(f, r) for r in picks]) * _INTERVAL_COST >= len(cand):
+        return cand
+    return _walk_interval(lower, free, picks, member_set)
+
+
+def _walk_interval(lower, free, picks, member_set):
+    """The members lower | x, for x each set of r free bits, r in picks
+    ascending, in canonical order: the points of one size are sorted before
+    the members among them are yielded."""
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    for r in picks:
+        for x in sorted(map(sum, combinations(bits, r))):
+            m = lower | x
+            if m in member_set:
+                yield m
+
+
+def _backtrack_images(cands, sizes, pool, poset, mode, forced):
+    """Search for an injective image assignment into the pool; returns
+    element-index -> mask dict or None.  cands is None (every element scans
+    the pool's members) or cands[e] element e's candidate list, in
+    canonical order; sizes is None (no interval route: the pool is short)
+    or sizes[e] the set sizes on element e's list.  forced is None or an
+    (element, mask) pair: that element is placed first, so its neighbours
+    are filtered against it at once."""
+    members = pool.members
     first, mask = forced or (0, None)
     order = poset.hasse_orders[first]
     n_el = len(order)
@@ -158,7 +213,7 @@ def _backtrack_images(members, groups, poset, mode, key_of, forced):
         if k == n_el:
             return True
         e = order[k]
-        cand = members if key_of is None else groups.get(key_of[e], ())
+        cand = members if cands is None else cands[e]
         lower = 0
         upper = -1
         incomp = []
@@ -170,6 +225,8 @@ def _backtrack_images(members, groups, poset, mode, key_of, forced):
                 upper &= mf
             elif induced:
                 incomp.append(mf)
+        if sizes and (lower or upper != -1):
+            cand = _interval_members(cand, sizes[e], lower, upper & pool.ground, pool.member_set)
         for s in cand:
             if s in used or lower & ~s or s & ~upper:
                 continue
@@ -186,22 +243,35 @@ def _backtrack_images(members, groups, poset, mode, key_of, forced):
     return dict(image) if extend(len(image)) else None
 
 
-def _find_embedding(members, by_size, poset, mode, classes, forced=None):
-    """First image assignment of the poset into the members (grouped by set
-    size in by_size; a size may map to no members), or None.  classes is
-    the mode's table from _class_setup.  Without a forced set, the chain
-    room rule first rules out posets higher than the number of set sizes,
-    then cuts each element's candidates in weak and induced mode."""
+def _find_embedding(pool, poset, mode, classes, forced=None):
+    """First image assignment of the poset into the pool's members, or
+    None.  classes is the mode's table from _class_setup.  Without a forced
+    set, the chain room rule first rules out posets higher than the number
+    of set sizes, then cuts each element's candidates in weak and induced
+    mode."""
+    members, by_size = pool.members, pool.by_size
     if len(poset.elements) > len(members) or (forced is None and poset.height > len(by_size)):
         return None
-    if classes is None:
-        windows, room = (None, None) if forced else _room_windows(members, by_size, poset)
-        return _backtrack_images(members, windows, poset, mode, room, forced)
+    if classes is not None:
+        return _embed_by_class_sizes(pool, poset, mode, classes, forced)
+    cands, sizes = (None, None) if forced else _room_windows(members, by_size, poset)
+    if len(members) < _INTERVAL_MIN:
+        sizes = None
+    elif cands is None:
+        sizes = [tuple(filter(by_size.get, sorted(by_size)))] * len(poset.elements)  # non-empty
+    return _backtrack_images(cands, sizes, pool, poset, mode, forced)
 
-    cls_of, less, class_count = classes
+
+def _embed_by_class_sizes(pool, poset, mode, classes, forced):
+    """_find_embedding in the size-constrained modes: give each class a
+    set size, ascending, sizes strictly increasing from a class to every
+    class above it, then backtrack on images within the sizes."""
+    members, by_size = pool.members, pool.by_size
+    routable = len(members) >= _INTERVAL_MIN
+    cls_of, below, above, class_count = classes
     k = len(class_count)
     sizes_avail = sorted(by_size)
-    counts = {s: len(by_size[s]) for s in sizes_avail}
+    room = {s: len(by_size[s]) for s in sizes_avail}  # members not yet taken
     forced_sizes = {cls_of[forced[0]]: forced[1].bit_count()} if forced else {}
     assign = [None] * k
     found = None
@@ -209,25 +279,21 @@ def _find_embedding(members, by_size, poset, mode, classes, forced=None):
     def assign_classes(ci):
         nonlocal found
         if ci == k:
-            size_of = [assign[c] for c in cls_of]
-            found = _backtrack_images(members, by_size, poset, mode, size_of, forced)
+            cands = [by_size[assign[c]] for c in cls_of]
+            sizes = [(assign[c],) for c in cls_of] if routable else None
+            found = _backtrack_images(cands, sizes, pool, poset, mode, forced)
             return
+        # strictly above the sizes of the classes below, under those above
+        lo = max([assign[cj] for cj in below[ci]], default=-1)
+        hi = min([assign[cj] for cj in above[ci]], default=sizes_avail[-1] + 1)
+        want, need = forced_sizes.get(ci), class_count[ci]
         for s in sizes_avail:
-            if ci in forced_sizes and s != forced_sizes[ci]:
-                continue
-            need = class_count[ci] + sum(
-                class_count[cj] for cj in range(ci) if assign[cj] == s
-            )
-            if need > counts[s]:
-                continue
-            if any(
-                ((cj, ci) in less and assign[cj] >= s) or ((ci, cj) in less and s >= assign[cj])
-                for cj in range(ci)
-            ):
+            if not lo < s < hi or room[s] < need or (want is not None and s != want):
                 continue
             assign[ci] = s
+            room[s] -= need
             assign_classes(ci + 1)
-            assign[ci] = None
+            room[s] += need
             if found is not None:
                 return
 
@@ -235,24 +301,59 @@ def _find_embedding(members, by_size, poset, mode, classes, forced=None):
     return found
 
 
-def _copy_through(members, by_size, poset, mode, new_mask, classes):
+class _Pool:
+    """The sets a copy may use: members in canonical order (a set under a
+    one-set test sits at the end), the same sets grouped by size, the same
+    sets as a set for the interval route, and the ground set [n] as a mask.
+    push and pop change all three views together."""
+
+    __slots__ = ("members", "by_size", "member_set", "ground")
+
+    def __init__(self, n, members, by_size, member_set):
+        self.members = members
+        self.by_size = by_size
+        self.member_set = member_set
+        self.ground = (1 << n) - 1
+
+    @classmethod
+    def copy_of(cls, fam):
+        """Copies of the family's lists, for push and pop."""
+        return cls(fam.n, list(fam.members), {k: list(v) for k, v in fam.by_size.items()},
+                   set(fam.members))
+
+    def push(self, s):
+        self.members.append(s)
+        self.by_size.setdefault(s.bit_count(), []).append(s)
+        self.member_set.add(s)
+
+    def pop(self):
+        s = self.members.pop()
+        self.by_size[s.bit_count()].pop()
+        self.member_set.discard(s)
+        return s
+
+
+def _copy_through(pool, poset, mode, new_mask, classes):
     """Image (element index -> mask) of a copy that uses new_mask, or None.
-    new_mask joins the lists members and by_size (the same sets by size)
-    for the test and leaves again, even on an error.  Placed first and
-    skipped as used later, it cannot change the search order by where it
-    sits; a size group it leaves empty is too small to be assigned."""
-    group = by_size.setdefault(new_mask.bit_count(), [])
-    members.append(new_mask)
+    new_mask joins the pool for the test and leaves again, even on an
+    error.  Placed first and skipped as used later, it cannot change the
+    search order by where it sits; a size group it leaves empty is too
+    small to be assigned."""
+    members, member_set = pool.members, pool.member_set
+    group = pool.by_size.setdefault(new_mask.bit_count(), [])
+    members.append(new_mask)  # pool.push and pool.pop, inlined on this hot path
     group.append(new_mask)
+    member_set.add(new_mask)
     try:
         for e in range(len(poset.elements)):
-            image = _find_embedding(members, by_size, poset, mode, classes, (e, new_mask))
+            image = _find_embedding(pool, poset, mode, classes, (e, new_mask))
             if image is not None:
                 return image
         return None
     finally:
         members.pop()
         group.pop()
+        member_set.discard(new_mask)
 
 
 def _to_embedding(image, poset, mode):
@@ -262,7 +363,8 @@ def _to_embedding(image, poset, mode):
 def find_copy(fam, poset, mode="weak", coloring=None):
     """First copy of the poset in the family under the given mode, or None."""
     classes = _class_setup(poset, mode, coloring)
-    image = _find_embedding(fam.members, fam.by_size, poset, mode, classes)
+    pool = _Pool(fam.n, fam.members, fam.by_size, fam.member_set)  # read only
+    image = _find_embedding(pool, poset, mode, classes)
     return None if image is None else _to_embedding(image, poset, mode)
 
 
@@ -281,8 +383,7 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
     if not 0 <= new_mask < 1 << fam.n:
         raise ElementOutOfRange(f"mask {new_mask} does not fit in [{fam.n}]")
     classes = _class_setup(poset, mode, coloring)
-    by_size = {k: list(v) for k, v in fam.by_size.items()}
-    image = _copy_through(list(fam.members), by_size, poset, mode, new_mask, classes)
+    image = _copy_through(_Pool.copy_of(fam), poset, mode, new_mask, classes)
     return None if image is None else _to_embedding(image, poset, mode)
 
 

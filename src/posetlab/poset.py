@@ -7,7 +7,8 @@ the full order relation fits in one bitmask per element: ``up[i]`` has bit
 transitively reduced cover list; instances are immutable afterwards.
 Everything derived from the order (relation bitmasks, Hasse lists and
 orders, ranks, chain room, height, rank classes) is a cached property,
-computed once per instance; no module keeps a table keyed by a poset.
+computed once per instance (a Hasse order once per start element, on its
+first lookup); no module keeps a table keyed by a poset.
 """
 from __future__ import annotations
 
@@ -118,38 +119,28 @@ class Poset:
 
     @cached_property
     def height(self):
-        """Number of elements of a longest chain (0 for the empty poset)."""
-        return 1 + max(self.ranks, default=-1)
+        """Number of elements of a longest chain."""
+        return 1 + max(self.ranks)
 
     @cached_property
     def hasse_orders(self):
         """hasse_orders[f]: DFS order over the Hasse graph from element f, so
-        every element but the root of each component follows a neighbour."""
-        n = len(self.elements)
-        orders = []
-        for first in range(n):
-            order, seen = [], set()
-            for root in (first, *range(n)):
-                stack = [] if root in seen else [root]
-                seen.add(root)
-                while stack:
-                    i = stack.pop()
-                    order.append(i)
-                    fresh = [j for j in reversed(self.neighbours[i]) if j not in seen]
-                    seen.update(fresh)
-                    stack += fresh
-            orders.append(tuple(order))
-        return tuple(orders)
+        every element but the root of each component follows a neighbour;
+        each start's order is built on first use."""
+        return _HasseOrders(self.neighbours)
 
     def class_table(self, raw):
-        """Class index per element for the labels raw (one per element), the
-        strict between-class order as (lower, upper) pairs, the class sizes."""
+        """Class index per element for the labels raw (one per element); per
+        class c, the classes of smaller index that hold an element strictly
+        below, and strictly above, an element of c; the class sizes."""
         ids = sorted(set(raw))
         cls_of = tuple(ids.index(c) for c in raw)
         n = len(self.elements)
-        less = frozenset((cls_of[i], cls_of[j]) for i in range(n) for j in range(n)
-                         if i != j and self.up[i] >> j & 1)
-        return cls_of, less, tuple(cls_of.count(c) for c in range(len(ids)))
+        less = {(cls_of[i], cls_of[j]) for i in range(n) for j in range(n)
+                if i != j and self.up[i] >> j & 1}
+        below = tuple(tuple(b for b in range(c) if (b, c) in less) for c in range(len(ids)))
+        above = tuple(tuple(a for a in range(c) if (c, a) in less) for c in range(len(ids)))
+        return cls_of, below, above, tuple(cls_of.count(c) for c in range(len(ids)))
 
     @cached_property
     def rank_classes(self):
@@ -166,15 +157,41 @@ class Poset:
         return a != b and self.le(a, b)
 
 
+class _HasseOrders(dict):
+    """Start element -> its Hasse DFS order, filled in on first lookup."""
+
+    def __init__(self, neighbours):
+        super().__init__()
+        self.neighbours = neighbours
+
+    def __missing__(self, first):
+        n = len(self.neighbours)
+        order, seen = [], set()
+        for root in (first, *range(n)):
+            stack = [] if root in seen else [root]
+            seen.add(root)
+            while stack:
+                i = stack.pop()
+                order.append(i)
+                fresh = [j for j in reversed(self.neighbours[i]) if j not in seen]
+                seen.update(fresh)
+                stack += fresh
+        self[first] = order = tuple(order)
+        return order
+
+
 def poset_from_covers(elements, covers):
     """Build a poset from labels and relation pairs (x below y).
 
     The pairs may be any subset of the intended order; the stored cover
     list is the transitive reduction of their reflexive-transitive
     closure.  Raises CycleError if the closure is not antisymmetric,
-    DuplicateLabel on repeated labels.
+    DuplicateLabel on repeated labels, InvalidParam on no labels: every
+    family holds the empty poset, so it forbids nothing.
     """
     labels = tuple(elements)
+    if not labels:
+        raise InvalidParam("a poset needs at least one element")
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("element labels must be unique")
     if len(labels) > MAX_ELEMENTS:
@@ -242,7 +259,7 @@ def rank_assignment(p):
 
 
 def height(p):
-    """Number of levels: 1 + max rank (0 for the empty poset)."""
+    """Number of levels: 1 + max rank."""
     return p.height
 
 
@@ -260,8 +277,6 @@ def classify_tree(p):
     maximal element gives monotone decreasing.
     """
     n = len(p.elements)
-    if n == 0:
-        return "not_tree"
     if len(p.covers) != n - 1:
         return "not_tree"
     placed = set()

@@ -34,6 +34,7 @@ from itertools import combinations, permutations
 from .embed import (
     _class_setup,
     _copy_through,
+    _Pool,
     ensure_mode_applicable,
     find_copy,
     is_copy_image,
@@ -111,8 +112,7 @@ class _Searcher:
         self.cap = None
         if mode in ("weak", "rank_preserving"):
             self.cap = _detect_y_pair(forbidden)
-        self.included = []
-        self.by_size = {}  # the included sets grouped by size, canonical order
+        self.pool = _Pool(n, [], {}, set())  # the included sets, canonical order
         self.chain_len = {}
         self.h_tops = []
         self.superset_index = {}  # chain top -> level -> candidate indices
@@ -133,7 +133,7 @@ class _Searcher:
         """
         for s in prefix:
             self._push(s)
-        inc = self.included
+        inc = self.pool.members
         total = len(self.candidates)
         prefixes = []
         if len(inc) > self.best_size:
@@ -160,7 +160,7 @@ class _Searcher:
                 continue
             todo.append((i + 1, len(inc)))  # exclude branch, after the include subtree
             s = self.candidates[i]
-            if all(_copy_through(inc, self.by_size, p, self.mode, s, classes) is None
+            if all(_copy_through(self.pool, p, self.mode, s, classes) is None
                    for p, classes in self.forbidden):
                 self._push(s)
                 if len(inc) > self.best_size:
@@ -177,18 +177,16 @@ class _Searcher:
         if self.cap:
             h, _ = self.cap
             best_below = 0
-            for a in self.included:
+            for a in self.pool.members:
                 if a & ~s == 0:
                     best_below = max(best_below, self.chain_len[a])
             self.chain_len[s] = best_below + 1
             if best_below + 1 >= h:
                 self.h_tops.append(s)
-        self.included.append(s)
-        self.by_size.setdefault(s.bit_count(), []).append(s)
+        self.pool.push(s)
 
     def _pop(self):
-        s = self.included.pop()
-        self.by_size[s.bit_count()].pop()
+        s = self.pool.pop()
         if self.cap:
             del self.chain_len[s]
             if self.h_tops and self.h_tops[-1] == s:
@@ -209,7 +207,7 @@ class _Searcher:
             if not rem_lv:
                 continue
             inc_lv = {}
-            for a in self.included:
+            for a in self.pool.members:
                 if t & ~a == 0 and a != t:
                     lv = self._level(a)
                     inc_lv[lv] = inc_lv.get(lv, 0) + 1
@@ -238,7 +236,7 @@ class _Searcher:
         return index
 
     def _lex_minimal(self):
-        cur = tuple(self.included)
+        cur = tuple(self.pool.members)
         cur_key = tuple(sorted((bin(m).count("1"), m) for m in cur))
         for table in self.tables:
             mapped = tuple(sorted((bin(table[m]).count("1"), table[m]) for m in cur))
@@ -357,11 +355,10 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
     if not free:
         raise NotFree(witness)
     tables = [(p, _class_setup(p, mode, coloring)) for p in forbidden]
-    members = list(fam.members)
-    by_size = {k: list(v) for k, v in fam.by_size.items()}
+    pool = _Pool.copy_of(fam)
     for s in canonical_masks(fam.n):
         if s not in fam and all(
-            _copy_through(members, by_size, p, mode, s, classes) is None for p, classes in tables
+            _copy_through(pool, p, mode, s, classes) is None for p, classes in tables
         ):
             return SaturationResult(False, s)
     return SaturationResult(True, None)

@@ -224,13 +224,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("verify", "paper", "--max-n", "1"),
         ("verify", "paper", "--max-n", "0"),
         ("verify", "paper", "--max-n", "-3"),
+        ("check", "free", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/empty.json"),
+        ("check", "saturated", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/empty.json"),
+        ("search", "la", "--n", "3", "--forbid", "{tmp}/empty.json"),
     ],
     ids=["show-missing-file", "gen-bad-params", "workers-0", "workers-negative",
          "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
          "poset-not-utf8", "poset-cover-triple", "forbid-cover-triple",
          "poset-elements-string", "poset-labels-int", "verify-max-n-1",
-         "verify-max-n-0", "verify-max-n-negative"],
+         "verify-max-n-0", "verify-max-n-negative", "check-free-empty-poset",
+         "check-saturated-empty-poset", "search-empty-poset"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))
@@ -238,6 +242,8 @@ def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
         '{"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]}')
     (tmp_path / "string-elements.json").write_text('{"elements": "ab", "covers": []}')
     (tmp_path / "int-labels.json").write_text('{"elements": [1, 2], "covers": [[1, 2]]}')
+    (tmp_path / "empty.json").write_text('{"elements": [], "covers": []}')
+    (tmp_path / "fam.txt").write_text("n=2\n1\n")
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""

@@ -9,6 +9,7 @@ from posetlab.embed import (
     MODES,
     InclusionBigraph,
     _copy_through,
+    _Pool,
     build_inclusion_bigraph,
     check_embedding,
     creates_copy_through,
@@ -28,7 +29,13 @@ from posetlab.errors import (
     InvalidParam,
     NotGraded,
 )
-from posetlab.family import SetFamily, f23_construction, full_layer, middle_layers
+from posetlab.family import (
+    SetFamily,
+    canonical_key,
+    f23_construction,
+    full_layer,
+    middle_layers,
+)
 from posetlab.poset import (
     all_height2_tree_posets,
     antichain,
@@ -41,6 +48,7 @@ from posetlab.poset import (
     y_poset,
     y_prime_poset,
 )
+from posetlab.search import SaturationResult, saturation_check, verify_free
 from strategies import families, random_family, random_graded_poset
 
 C2 = chain(2)
@@ -139,11 +147,12 @@ def test_copy_through_restores_lists_on_error(monkeypatch):
         raise RuntimeError("interrupted")
 
     monkeypatch.setattr(embed, "_find_embedding", interrupted)
-    members, by_size = [0b01], {1: [0b01]}
+    pool = _Pool(2, [0b01], {1: [0b01]}, {0b01})
     with pytest.raises(RuntimeError):
-        _copy_through(members, by_size, C2, "weak", 0b11, None)
-    assert members == [0b01]
-    assert by_size == {1: [0b01], 2: []}
+        _copy_through(pool, C2, "weak", 0b11, None)
+    assert pool.members == [0b01]
+    assert pool.by_size == {1: [0b01], 2: []}
+    assert pool.member_set == {0b01}
 
 
 def test_creates_copy_through_matches_filtered_find_copy(rng):
@@ -280,10 +289,124 @@ def test_find_copy_matches_bruteforce_on_few_size_classes(rng, monkeypatch):
     assert min(seen[True, False], seen[False, True], seen[False, False]) >= 50
 
 
+def test_interval_route_matches_bruteforce_and_the_scan(rng, monkeypatch):
+    """The interval route forced on for small families (no minimum length;
+    every third trial also at no cost, so every placed neighbour routes):
+    find_copy, creates_copy_through and saturation_check give the verdicts
+    of the permutation matcher and the witnesses of the scan."""
+    walks = Counter()
+    walk = embed._walk_interval
+
+    def counted(*args):
+        walks[mode] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(embed, "_walk_interval", counted)
+
+    def route_and_scan(call):
+        monkeypatch.setattr(embed, "_INTERVAL_MIN", 0)
+        monkeypatch.setattr(embed, "_INTERVAL_COST", 0 if trial % 3 == 0 else 4)
+        routed = call()
+        monkeypatch.setattr(embed, "_INTERVAL_MIN", 1 << 20)
+        assert call() == routed
+        return routed
+
+    def holds_copy(fam, poset):
+        return find_copy_bruteforce(fam, poset, mode, coloring) is not None
+
+    for trial in range(1000):
+        n = rng.randint(3, 4)
+        mode = MODES[trial % 4]
+        sizes = rng.sample(range(n + 1), rng.randint(1, n + 1))
+        pool = [m for m in range(1 << n) if m.bit_count() in sizes]
+        fam = SetFamily(n, tuple(rng.sample(pool, rng.randint(min(len(pool), 3), min(len(pool), 8)))))
+        poset = rng.choice([p for p in ROOM_POSETS if len(p.elements) <= 4])
+        coloring = None
+        if mode == "colored":
+            coloring = {
+                x: r if rng.random() < 0.5 else 100 + i
+                for i, (x, r) in enumerate(rank_coloring(poset).items())
+            }
+        found = route_and_scan(lambda: find_copy(fam, poset, mode, coloring))
+        assert (found is None) == (not holds_copy(fam, poset)), (fam, poset, mode)
+        outside = [m for m in range(1 << n) if m not in fam]
+        if not outside:
+            continue
+        s = rng.choice(outside)
+        grown = SetFamily(n, fam.members + (s,))
+        through = route_and_scan(lambda: creates_copy_through(fam, poset, mode, s, coloring))
+        if through is not None:
+            assert s in through.mapping.values()
+            assert check_embedding(poset, through.mapping, mode, coloring, grown)
+        elif found is None:
+            assert not holds_copy(grown, poset)
+        if found is None and len(fam) <= 5:
+            res = route_and_scan(lambda: saturation_check(fam, [poset], mode, coloring))
+            want = next((m for m in sorted(outside, key=canonical_key)
+                         if not holds_copy(SetFamily(n, fam.members + (m,)), poset)), None)
+            assert (res.saturated, res.counterexample) == (want is None, want)
+    assert min(walks[m] for m in MODES) >= 100, walks
+
+
+# The checks of the benchmark's detect workload, at full size, where the
+# interval route is taken by default.  Recorded before the route existed.
+Y22_PAIR = (Y22, y_prime_poset(2, 2))
+THROUGH_PINNED = [
+    (11, "rank_preserving", 0b10010010001,
+     ({"x1": 1169, "x2": 1171, "y1": 1175, "y2": 1179}, None)),
+    (11, "rank_preserving", 0b11101110111,
+     (None, {"x1": 1911, "x2": 119, "y1": 55, "y2": 87})),
+    (8, "weak", 0b10010001, ({"x1": 145, "x2": 147, "y1": 151, "y2": 155}, None)),
+    (8, "weak", 0b11011011, (None, {"x1": 219, "x2": 91, "y1": 27, "y2": 75})),
+    (8, "induced", 0b10010001, ({"x1": 145, "x2": 147, "y1": 151, "y2": 155}, None)),
+    (8, "induced", 0b11011011, (None, {"x1": 219, "x2": 91, "y1": 27, "y2": 75})),
+]
+F23_THROUGH_PINNED = [
+    (y_poset(1, 2), 240, {"x1": 240, "y1": 243, "y2": 245}),
+    (y_poset(1, 2), 3855, {"x1": 1295, "y1": 3855, "y2": 3343}),
+    (y_prime_poset(1, 3), 240, {"x1": 3313, "y1": 240, "y2": 1265, "y3": 2289}),
+    (y_prime_poset(1, 3), 3855, {"x1": 3855, "y1": 783, "y2": 1295, "y3": 1551}),
+]
+
+
+def test_detect_checks_at_full_size_are_pinned(monkeypatch):
+    walks = Counter()
+    walk = embed._walk_interval
+
+    def counted(*args):
+        walks["all"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(embed, "_walk_interval", counted)
+    m8, m11, m12, f23 = (middle_layers(8, 2), middle_layers(11, 2), middle_layers(12, 2),
+                         f23_construction(12))
+    assert saturation_check(m11, Y22_PAIR, "rank_preserving") == SaturationResult(True, None)
+    assert saturation_check(m8, Y22_PAIR, "weak") == SaturationResult(True, None)
+    assert verify_free(m12, [t_r3_poset(3)], "weak") == (True, None)
+    assert verify_free(m12, [Y22], "induced") == (True, None)
+    assert verify_free(f23, [Y12, y_prime_poset(1, 3)], "weak") == (True, None)
+    short = SetFamily(8, tuple(m for m in m8.members if m != 0b00111100))
+    assert saturation_check(short, Y22_PAIR, "weak") == SaturationResult(False, 0b00111100)
+    for n, mode, s, pinned in THROUGH_PINNED:
+        fam = m11 if n == 11 else m8
+        got = tuple(None if e is None else e.mapping
+                    for e in (creates_copy_through(fam, p, mode, s) for p in Y22_PAIR))
+        assert got == pinned, (n, mode, s)
+    for poset, s, pinned in F23_THROUGH_PINNED:
+        assert creates_copy_through(f23, poset, "weak", s).mapping == pinned
+    assert find_copy(f23, chain(3), "weak") is None
+    assert find_copy(f23, Y12, "induced") is None
+    assert find_copy(f23, y_prime_poset(1, 2), "weak").mapping == {
+        "x1": 3103, "y1": 1055, "y2": 2079}
+    assert walks["all"] > 0
+
+
 def test_room_windows_are_the_sizes_an_element_can_take():
     def sizes_per_element(fam, poset):
-        windows, room = embed._room_windows(fam.members, fam.by_size, poset)
-        return [sorted({m.bit_count() for m in windows[r]}) for r in room]
+        windows, sizes = embed._room_windows(fam.members, fam.by_size, poset)
+        for window, on in zip(windows, sizes):
+            assert sorted({m.bit_count() for m in window}) == list(on)
+        return [list(on) for on in sizes]
 
     fam = middle_layers(5, 3)  # sizes 2, 3, 4
     assert sizes_per_element(fam, Y22) == [[2], [3], [4], [4]]  # x1, x2, y1, y2

@@ -3,6 +3,7 @@ import json
 import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from posetlab.errors import CycleError, DuplicateLabel, InvalidParam
 from posetlab.poset import (
@@ -57,6 +58,13 @@ def test_duplicate_label_rejected():
 def test_unknown_label_rejected():
     with pytest.raises(InvalidParam):
         poset_from_covers(["a"], [("a", "zzz")])
+
+
+def test_empty_poset_rejected():
+    with pytest.raises(InvalidParam):
+        poset_from_covers([], [])
+    with pytest.raises(InvalidParam):
+        poset_from_json('{"elements": [], "covers": []}')
 
 
 def test_transitive_reduction_drops_implied_pair():
@@ -227,13 +235,46 @@ def test_cached_order_data_matches_independent_routes(p):
     graph.add_nodes_from(range(n))
     graph.add_edges_from((p.index[a], p.index[b]) for a, b in p.covers)
     assert (classify_tree(p) != "not_tree") == nx.is_tree(graph)
-    for first, order in enumerate(p.hasse_orders):
+    for first in range(n):
+        order = p.hasse_orders[first]
         assert order[0] == first and sorted(order) == list(range(n))
         for k, i in enumerate(order):
             # each element follows a neighbour, or starts a new component
             placed = set(order[:k])
             assert not placed.isdisjoint(p.neighbours[i]) or placed.isdisjoint(
                 nx.node_connected_component(graph, i))
+
+
+def eager_hasse_orders(p):
+    """Every start element's Hasse DFS order, computed in one pass."""
+    n = len(p.elements)
+    orders = []
+    for first in range(n):
+        order, seen = [], set()
+        for root in (first, *range(n)):
+            stack = [] if root in seen else [root]
+            seen.add(root)
+            while stack:
+                i = stack.pop()
+                order.append(i)
+                fresh = [j for j in reversed(p.neighbours[i]) if j not in seen]
+                seen.update(fresh)
+                stack += fresh
+        orders.append(tuple(order))
+    return orders
+
+
+@given(posets(), st.randoms(use_true_random=False))
+def test_lazy_hasse_orders_match_eager_computation(p, rnd):
+    """Each start's order is built on first use, in any order of asking,
+    and equals the order an all-at-once computation gives."""
+    eager = eager_hasse_orders(p)
+    starts = list(range(len(p.elements)))
+    rnd.shuffle(starts)
+    for k, first in enumerate(starts):
+        assert p.hasse_orders[first] == eager[first]
+        assert p.hasse_orders[first] is p.hasse_orders[first]
+        assert sorted(p.hasse_orders) == sorted(starts[:k + 1])
 
 
 @given(posets())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetlab import embed
 from posetlab.embed import MODES, find_copy, find_copy_bruteforce
 from posetlab.errors import InvalidParam, NotFree, NotGraded
 from posetlab.family import SetFamily, canonical_key, middle_layers, sigma
@@ -106,6 +107,17 @@ PINNED_TREES = [
 def test_search_tree_is_pinned(mode, forbidden, coloring, pinned):
     out = la_exact(4, forbidden, mode, coloring=coloring)
     assert out.exact
+    assert (out.value, out.nodes_explored, out.witness.members) == pinned
+
+
+@pytest.mark.parametrize("mode,forbidden,coloring,pinned", PINNED_TREES)
+def test_search_tree_is_pinned_with_the_interval_route(mode, forbidden, coloring, pinned,
+                                                       monkeypatch):
+    """Every placed neighbour takes the interval route, so its listing
+    from the search's member set must give the scan's candidates."""
+    monkeypatch.setattr(embed, "_INTERVAL_MIN", 0)
+    monkeypatch.setattr(embed, "_INTERVAL_COST", 0)
+    out = la_exact(4, forbidden, mode, coloring=coloring)
     assert (out.value, out.nodes_explored, out.witness.members) == pinned
 
 
