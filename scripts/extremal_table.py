@@ -26,10 +26,9 @@ def main():
     ap.add_argument("--s", type=int, default=2)
     ap.add_argument("--n", type=int, nargs="+", default=[4])
     ap.add_argument("--budget-ms", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
     forbidden = [y_poset(args.h, args.s), y_prime_poset(args.h, args.s)]
-    cfg = SearchConfig(budget_ms=args.budget_ms, workers=args.workers)
+    cfg = SearchConfig(budget_ms=args.budget_ms)
     print(f"forbidden: y({args.h},{args.s}) together with its dual")
     print(f"{'n':>3} {'mode':>16} {'value':>6} {'exact':>6} {'layers':>7} {'nodes':>10}")
     for n in args.n:

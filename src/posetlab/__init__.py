@@ -61,7 +61,6 @@ from .family import (
 )
 from .poset import (
     Poset,
-    RankAssignment,
     all_height2_tree_posets,
     antichain,
     chain,
@@ -74,7 +73,6 @@ from .poset import (
     poset_from_covers,
     poset_from_json,
     poset_to_json,
-    rank_assignment,
     rank_coloring,
     t_r3_poset,
     y_poset,

@@ -4,7 +4,8 @@ Subcommands: poset gen|show, family gen|stats, check free|saturated,
 measure, search la, verify paper.  Reports are JSON by default (CSV via
 --format csv), built in full before anything is printed.  Exit codes:
 0 success / all checks pass, 1 a check or verify assertion failed,
-2 usage or input error.  POSETLAB_WORKERS sets the --workers default.
+2 usage or input error.  `search la` and `verify paper` accept a hidden
+--workers that nothing reads, for old command lines.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 
@@ -40,7 +40,7 @@ from .poset import (
     height,
     poset_from_json,
     poset_to_json,
-    rank_assignment,
+    rank_coloring,
 )
 from .search import SearchConfig, la_exact, saturation_check, verify_free
 
@@ -154,7 +154,7 @@ def _cmd_poset_show(args):
             "covers": [list(c) for c in poset.covers],
             "height": height(poset),
             "graded": poset.graded,
-            "ranks": rank_assignment(poset).ranks,
+            "ranks": rank_coloring(poset),
             "classification": classify_tree(poset),
         },
         args.format,
@@ -261,11 +261,7 @@ def _cmd_measure(args):
 
 def _cmd_search_la(args):
     forbidden = [parse_poset_spec(s) for s in args.forbid]
-    cfg = SearchConfig(
-        budget_ms=args.budget_ms,
-        workers=args.workers,
-        symmetry_pruning=args.symmetry,
-    )
+    cfg = SearchConfig(budget_ms=args.budget_ms, symmetry_pruning=args.symmetry)
     outcome = la_exact(args.n, forbidden, _mode(args.mode), cfg)
     if args.emit_witness:
         _write_text(serialize_family(outcome.witness), args.emit_witness)
@@ -287,9 +283,7 @@ def _cmd_search_la(args):
 
 
 def _cmd_verify_paper(args):
-    report = verify_mod.run_suite(
-        suite=args.suite, max_n=args.max_n, seed=args.seed, workers=args.workers
-    )
+    report = verify_mod.run_suite(suite=args.suite, max_n=args.max_n, seed=args.seed)
     report = {"command": "verify paper", **report}
     _emit(report, args.format)
     return 0 if report["pass"] else 1
@@ -302,9 +296,6 @@ def _add_format(p):
 
 
 def _build_parser():
-    # A string default goes through type=int only when --workers is parsed,
-    # so a bad POSETLAB_WORKERS is a usage error of the commands that take it.
-    default_workers = os.environ.get("POSETLAB_WORKERS", "1")
     top = argparse.ArgumentParser(
         prog="posetlab",
         description="Forbidden-subposet toolkit over the Boolean lattice",
@@ -363,9 +354,9 @@ def _build_parser():
     la.add_argument("--forbid", action="append", required=True)
     la.add_argument("--mode", default="weak")
     la.add_argument("--budget-ms", type=int, default=None)
-    la.add_argument("--workers", type=int, default=default_workers)
     la.add_argument("--emit-witness")
     la.add_argument("--symmetry", action="store_true")
+    la.add_argument("--workers", type=int, help=argparse.SUPPRESS)  # not read
     _add_format(la)
     la.set_defaults(func=_cmd_search_la)
 
@@ -375,7 +366,7 @@ def _build_parser():
     vp.add_argument("--suite", choices=("all", "fast"), default="all")
     vp.add_argument("--max-n", type=int, default=7)
     vp.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    vp.add_argument("--workers", type=int, default=default_workers)
+    vp.add_argument("--workers", type=int, help=argparse.SUPPRESS)  # not read
     _add_format(vp)
     vp.set_defaults(func=_cmd_verify_paper)
 

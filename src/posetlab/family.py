@@ -103,9 +103,6 @@ class SetFamily:
             groups.setdefault(bin(m).count("1"), []).append(m)
         return {k: tuple(v) for k, v in groups.items()}
 
-    def as_sets(self):
-        return [elements_of(m) for m in self.members]
-
 
 def layer_profile(fam):
     """Counts of members per size, as a list indexed 0..n."""

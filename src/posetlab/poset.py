@@ -153,9 +153,6 @@ class Poset:
         """a <= b in the partial order (labels)."""
         return self.up[self.index[a]] >> self.index[b] & 1 == 1
 
-    def lt(self, a, b):
-        return a != b and self.le(a, b)
-
 
 class _HasseOrders(dict):
     """Start element -> its Hasse DFS order, filled in on first lookup."""
@@ -245,26 +242,14 @@ def dual(p):
     return Poset(p.elements, tuple(sorted((b, a) for a, b in p.covers)))
 
 
-@dataclass(frozen=True)
-class RankAssignment:
-    """Longest-chain ranks; graded iff every cover jumps by exactly 1."""
-
-    ranks: dict
-    graded: bool
-
-
-def rank_assignment(p):
-    """rank(x) = edge count of the longest chain ending at x."""
-    return RankAssignment(dict(zip(p.elements, p.ranks)), p.graded)
-
-
 def height(p):
     """Number of levels: 1 + max rank."""
     return p.height
 
 
 def rank_coloring(p):
-    """Coloring by rank; classes are antichains for any poset."""
+    """Label -> rank, the edge count of the longest chain ending there;
+    as a coloring its classes are antichains for any poset."""
     return dict(zip(p.elements, p.ranks))
 
 
@@ -294,11 +279,18 @@ def classify_tree(p):
 
 
 # ---------------------------------------------------------------------------
-# Generators for the standard posets.
+# Generators for the standard posets.  Each checks its element count against
+# MAX_ELEMENTS before it builds anything.
+
+def _check_cap(kind, count):
+    if count > MAX_ELEMENTS:
+        raise InvalidParam(f"{kind} has {count} elements; at most {MAX_ELEMENTS} supported")
+
 
 def chain(k):
     if k < 1:
         raise InvalidParam("chain needs k >= 1")
+    _check_cap("chain", k)
     labels = tuple(f"x{i}" for i in range(1, k + 1))
     return Poset(labels, tuple((f"x{i}", f"x{i + 1}") for i in range(1, k)))
 
@@ -306,6 +298,7 @@ def chain(k):
 def antichain(k):
     if k < 1:
         raise InvalidParam("antichain needs k >= 1")
+    _check_cap("antichain", k)
     return Poset(tuple(f"a{i}" for i in range(1, k + 1)), ())
 
 
@@ -313,6 +306,7 @@ def y_poset(h, s):
     """Chain x1 < ... < xh with s pairwise-incomparable tops above xh."""
     if h < 1 or s < 1:
         raise InvalidParam("y needs h, s >= 1")
+    _check_cap("y", h + s)
     labels = tuple(f"x{i}" for i in range(1, h + 1)) + tuple(f"y{j}" for j in range(1, s + 1))
     covers = [(f"x{i}", f"x{i + 1}") for i in range(1, h)]
     covers += [(f"x{h}", f"y{j}") for j in range(1, s + 1)]
@@ -320,6 +314,7 @@ def y_poset(h, s):
 
 
 def y_prime_poset(h, s):
+    """The dual of y_poset(h, s), which checks the element count."""
     return dual(y_poset(h, s))
 
 
@@ -335,6 +330,7 @@ def t_r3_poset(r, reading="degree"):
     if reading not in ("degree", "children"):
         raise InvalidParam(f"unknown t_r3 reading {reading!r}")
     per_middle = r - 1 if reading == "degree" else r
+    _check_cap("t_r3", 1 + r + r * per_middle)
     labels = ["r0"] + [f"m{i}" for i in range(1, r + 1)]
     covers = [("r0", f"m{i}") for i in range(1, r + 1)]
     leaf = 0
@@ -343,8 +339,6 @@ def t_r3_poset(r, reading="degree"):
             leaf += 1
             labels.append(f"t{leaf}")
             covers.append((f"m{i}", f"t{leaf}"))
-    if len(labels) > MAX_ELEMENTS:
-        raise InvalidParam("t_r3 exceeds the 64-element cap")
     return Poset(tuple(labels), tuple(sorted(covers)))
 
 
@@ -354,8 +348,7 @@ def complete_multilevel(sizes):
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise InvalidParam("level sizes must be positive")
-    if sum(sizes) > MAX_ELEMENTS:
-        raise InvalidParam("complete_multilevel exceeds the 64-element cap")
+    _check_cap("complete_multilevel", sum(sizes))
     labels = []
     levels = []
     for lvl, s in enumerate(sizes):

@@ -14,14 +14,8 @@ bisecting per-T lists of candidate indices.
 
 The branch routine keeps pending branches on an explicit stack, not the
 call stack, so exclude chains 2^n deep stay clear of the recursion limit
-for every n up to MAX_SEARCH_N.  With workers=1 it walks the whole tree:
-the explored-node sequence, value and witness are all deterministic.  With
-workers > 1 the same routine stops at a fixed depth and returns the
-decision prefixes it reaches there; each prefix is an independent subtree
-task for the routine again, which alone counts the prefix node.  Results
-are merged in branch order, with the split's own incumbent at the place it
-was found, so value and witness equal the workers=1 ones and do not depend
-on the schedule.
+for every n up to MAX_SEARCH_N.  It walks the whole tree in one process:
+the explored-node sequence, value and witness are all deterministic.
 """
 from __future__ import annotations
 
@@ -51,7 +45,6 @@ MAX_SYMMETRY_N = 7
 @dataclass
 class SearchConfig:
     budget_ms: int | None = None
-    workers: int = 1
     symmetry_pruning: bool = False
 
 
@@ -118,27 +111,16 @@ class _Searcher:
         self.superset_index = {}  # chain top -> level -> candidate indices
         self.best_size = 0
         self.best_members = ()
-        self.best_rank = 0
         self.nodes = 0
         self.exact = True
 
-    def run(self, start=0, prefix=(), stop=None):
-        """Branch below the prefix from candidate index start, depth first
-        with the include branch first, on an explicit stack.
-
-        Nodes that reach the stop index are not expanded: the included sets
-        there are returned, in branch order, for subtree tasks to finish.
-        best_rank counts those returned before the incumbent was found.  A
-        spent budget ends the walk, marks it inexact and returns no prefixes.
-        """
-        for s in prefix:
-            self._push(s)
+    def run(self):
+        """Branch from the empty family, depth first with the include branch
+        first, on an explicit stack.  A spent budget ends the walk and marks
+        it inexact."""
         inc = self.pool.members
         total = len(self.candidates)
-        prefixes = []
-        if len(inc) > self.best_size:
-            self.best_size, self.best_members = len(inc), tuple(inc)
-        todo = [(start, len(inc))]  # (candidate index, included sets to keep)
+        todo = [(0, 0)]  # (candidate index, included sets to keep)
         while todo:
             i, kept = todo.pop()
             while len(inc) > kept:
@@ -146,15 +128,11 @@ class _Searcher:
             self.nodes += 1
             if self.deadline is not None and time.monotonic() > self.deadline:
                 self.exact = False
-                return []
+                return
             required = self.best_size + 1
             if len(inc) + (total - i) < required:
                 continue
             if self.cap and self.h_tops and len(inc) + self._capped_remaining(i) < required:
-                continue
-            if i == stop:
-                prefixes.append(tuple(inc))
-                self.nodes -= 1  # its subtree task counts this node
                 continue
             if i == total:
                 continue
@@ -165,13 +143,8 @@ class _Searcher:
                 self._push(s)
                 if len(inc) > self.best_size:
                     self.best_size, self.best_members = len(inc), tuple(inc)
-                    self.best_rank = len(prefixes)
                 if not (self.symmetry and not self._lex_minimal()):
                     todo.append((i + 1, len(inc)))
-        return prefixes
-
-    def result(self):
-        return self.best_size, self.best_members, self.nodes, self.exact
 
     def _push(self, s):
         if self.cap:
@@ -245,13 +218,6 @@ class _Searcher:
         return True
 
 
-def _solve_subtree(args):
-    *setup, prefix, start = args
-    searcher = _Searcher(*setup)
-    searcher.run(start, prefix)
-    return searcher.result()
-
-
 def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
     """Largest family over [n] avoiding every forbidden poset in the given
     mode, by branch-and-bound; exact unless the time budget cut it short."""
@@ -260,35 +226,16 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
     forbidden = tuple(forbidden)
     classes = tuple(_class_setup(p, mode, coloring) for p in forbidden)
     cfg = cfg or SearchConfig()
-    if cfg.workers < 1:
-        raise InvalidParam("workers must be at least 1")
     if cfg.budget_ms is not None and cfg.budget_ms < 0:
         raise InvalidParam("budget_ms must not be negative")
     deadline = None
     if cfg.budget_ms is not None:
         deadline = time.monotonic() + cfg.budget_ms / 1000.0
-    setup = (n, forbidden, mode, classes, cfg, deadline)
-    searcher = _Searcher(*setup)
-    stop = None
-    if cfg.workers > 1:
-        stop = min(len(searcher.candidates), max(1, (8 * cfg.workers - 1).bit_length()))
-    prefixes = searcher.run(stop=stop)
-    results = []
-    if prefixes:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_solve_subtree, [(*setup, p, stop) for p in prefixes]))
-    # The split's own incumbent goes where it was found among the subtrees,
-    # so ties resolve in branch order exactly as in one sequential walk.
-    results.insert(searcher.best_rank, searcher.result())
-    value, members, nodes, exact = 0, (), 0, True
-    for size, mem, task_nodes, task_exact in results:
-        nodes += task_nodes
-        exact = exact and task_exact
-        if size > value:
-            value, members = size, mem
-    return SearchOutcome(value, SetFamily(n, members), nodes, mode, forbidden, exact)
+    searcher = _Searcher(n, forbidden, mode, classes, cfg, deadline)
+    searcher.run()
+    witness = SetFamily(n, searcher.best_members)
+    return SearchOutcome(searcher.best_size, witness, searcher.nodes, mode, forbidden,
+                         searcher.exact)
 
 
 def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):

@@ -43,13 +43,7 @@ from .poset import (
     y_poset,
     y_prime_poset,
 )
-from .search import (
-    SearchConfig,
-    exhaustive_max_free,
-    la_exact,
-    saturation_check,
-    verify_free,
-)
+from .search import exhaustive_max_free, la_exact, saturation_check, verify_free
 
 DEFAULT_SEED = 20240801
 
@@ -112,11 +106,11 @@ def _random_dense_bigraph(rng, t):
 # ---------------------------------------------------------------------------
 # Checks.  Each returns a CheckResult; `counts` scales corpus sizes.
 
-def check_sperner(max_n, workers):
+def check_sperner(max_n):
     values = {}
     ok = True
     for n in range(2, min(5, max_n) + 1):
-        got = la_exact(n, [chain(2)], "weak", SearchConfig(workers=workers)).value
+        got = la_exact(n, [chain(2)], "weak").value
         want = math.comb(n, n // 2)
         values[str(n)] = str(got)
         ok = ok and got == want
@@ -129,13 +123,13 @@ def check_sperner(max_n, workers):
     )
 
 
-def check_y12_pair(max_n, workers):
+def check_y12_pair(max_n):
     forb = [y_poset(1, 2), y_prime_poset(1, 2)]
-    got4 = la_exact(4, forb, "weak", SearchConfig(workers=workers)).value
+    got4 = la_exact(4, forb, "weak").value
     observed = {"n4": str(got4)}
     ok = got4 == 6
     if max_n >= 5:
-        got5 = la_exact(5, forb, "weak", SearchConfig(workers=workers)).value
+        got5 = la_exact(5, forb, "weak").value
         observed["n5"] = str(got5)
         ok = ok and got5 == 12
     return CheckResult(
@@ -316,7 +310,7 @@ def check_greedy_embedding(graphs_per_t, seed):
     )
 
 
-def check_small_n_oracle(workers):
+def check_small_n_oracle():
     combos = {
         "chain2": [chain(2)],
         "y12pair": [y_poset(1, 2), y_prime_poset(1, 2)],
@@ -327,7 +321,7 @@ def check_small_n_oracle(workers):
     for name, forb in combos.items():
         for mode in ("weak", "rank_preserving"):
             ex = exhaustive_max_free(4, forb, mode).value
-            bb = la_exact(4, forb, mode, SearchConfig(workers=workers)).value
+            bb = la_exact(4, forb, mode).value
             observed[f"{name}_{mode}"] = str(bb)
             ok = ok and ex == bb
     ok = ok and observed["y22pair_rank_preserving"] == str(N4_Y22_PAIR_RP_VALUE)
@@ -387,7 +381,7 @@ def check_copy_detector(triples, seed):
     )
 
 
-def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED, workers=1):
+def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED):
     """Run the named suite; returns a JSON-ready report dict."""
     if max_n < 2:
         raise InvalidParam("verify needs max_n >= 2")
@@ -398,8 +392,8 @@ def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED, workers=1):
     triples = 1000 if fast else 10000
 
     checks = [
-        check_sperner(max_n, workers),
-        check_y12_pair(max_n, workers),
+        check_sperner(max_n),
+        check_y12_pair(max_n),
         check_middle_saturation(max_n),
         check_chain_average(max_n, families_per_n, seed),
         check_pair_count(max_n, families_per_n, seed + 1),
@@ -409,14 +403,13 @@ def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED, workers=1):
         check_greedy_embedding(graphs_per_t, seed + 3),
     ]
     if not fast:
-        checks.append(check_small_n_oracle(workers))
+        checks.append(check_small_n_oracle())
     checks.append(check_copy_detector(triples, seed + 4))
 
     return {
         "suite": suite,
         "maxN": max_n,
         "seed": seed,
-        "workers": workers,
         "checks": [c.to_json_dict() for c in checks],
         "pass": all(c.passed for c in checks),
     }

@@ -43,8 +43,6 @@ def random_family(rng: random.Random, n, max_size):
 
 def random_graded_poset(rng: random.Random, max_elements=4):
     """Rejection-sample forward-edge DAG posets until graded."""
-    from posetlab.poset import rank_assignment
-
     while True:
         k = rng.randint(1, max_elements)
         labels = [f"e{i}" for i in range(k)]
@@ -55,5 +53,5 @@ def random_graded_poset(rng: random.Random, max_elements=4):
             if rng.random() < 0.4
         ]
         p = poset_from_covers(labels, pairs)
-        if rank_assignment(p).graded:
+        if p.graded:
             return p

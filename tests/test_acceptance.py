@@ -38,7 +38,6 @@ from posetlab.family import (
 from posetlab.poset import (
     all_height2_tree_posets,
     chain,
-    rank_assignment,
     rank_coloring,
     y_poset,
     y_prime_poset,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -137,28 +138,47 @@ def test_search_la_with_witness(tmp_path, capsys):
     assert len(fam) == 6
 
 
-def test_search_la_workers_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POSETLAB_WORKERS", "2")
-    code, out, _ = run_cli(
-        capsys, "search", "la", "--n", "3", "--forbid", "named:chain(2)",
-        "--mode", "weak",
-    )
-    assert code == 0
-    assert json.loads(out)["value"] == 3
-
-
-def test_bad_workers_env_is_a_usage_error_only_where_workers_is_used(capsys, monkeypatch):
+def test_search_la_ignores_workers(tmp_path, capsys, monkeypatch):
+    """--workers is accepted and not read, nor is POSETLAB_WORKERS: the
+    report and the witness file are the same with and without them."""
     monkeypatch.setenv("POSETLAB_WORKERS", "abc")
-    code, out, _ = run_cli(capsys, "poset", "gen", "--kind", "chain", "--params", "2")
-    assert code == 0 and json.loads(out)["elements"] == ["x1", "x2"]
+    wit = tmp_path / "wit.txt"
+    runs = []
+    for extra in ((), ("--workers", "1"), ("--workers", "2")):
+        code, out, err = run_cli(
+            capsys, "search", "la", "--n", "4", "--forbid", "named:y(1,2)",
+            "--forbid", "named:y'(1,2)", "--emit-witness", str(wit), *extra,
+        )
+        assert code == 0 and err == ""
+        runs.append((out, wit.read_text()))
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0][0])["nodesExplored"] == 251
+
+
+def test_verify_paper_ignores_workers(capsys, monkeypatch):
+    monkeypatch.setenv("POSETLAB_WORKERS", "abc")
+    reports = []
+    for extra in ((), ("--workers", "1"), ("--workers", "2")):
+        code, out, err = run_cli(capsys, "verify", "paper", "--suite", "fast",
+                                 "--max-n", "3", *extra)
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+    assert "workers" not in json.loads(reports[0])
+
+
+def test_poset_cap_is_checked_before_building(tmp_path, capsys):
+    (tmp_path / "fam.txt").write_text("n=2\n1\n")
     for argv in (
-        ("search", "la", "--n", "3", "--forbid", "named:chain(2)"),
-        ("verify", "paper", "--suite", "fast", "--max-n", "3"),
+        ("poset", "gen", "--kind", "chain", "--params", "3000000", "--out", str(tmp_path / "p")),
+        ("poset", "gen", "--kind", "t_r3", "--params", "2000"),
+        ("check", "free", "--family", str(tmp_path / "fam.txt"), "--forbid", "named:chain(99)"),
     ):
+        start = time.monotonic()
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "--workers: invalid int value: 'abc'" in err
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2 and out == "" and "at most 64" in err, argv
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize(
@@ -206,8 +226,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     [
         ("poset", "show", "--file", "{tmp}/missing.json"),
         ("poset", "gen", "--kind", "y", "--params", "a,b"),
-        ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--workers", "0"),
-        ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--workers", "-2"),
         ("search", "la", "--n", "3", "--forbid", "named:chain(2)", "--budget-ms", "-5"),
         ("family", "gen", "--kind", "middle", "--n", "30", "--h", "2"),
         ("poset", "gen", "--kind", "chain", "--params", "2", "--out", "{tmp}/no/p.json"),
@@ -228,8 +246,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("check", "saturated", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/empty.json"),
         ("search", "la", "--n", "3", "--forbid", "{tmp}/empty.json"),
     ],
-    ids=["show-missing-file", "gen-bad-params", "workers-0", "workers-negative",
-         "budget-negative", "family-n-too-large", "poset-out-unwritable",
+    ids=["show-missing-file", "gen-bad-params", "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
          "poset-not-utf8", "poset-cover-triple", "forbid-cover-triple",
          "poset-elements-string", "poset-labels-int", "verify-max-n-1",

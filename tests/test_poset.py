@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from posetlab.errors import CycleError, DuplicateLabel, InvalidParam
 from posetlab.poset import (
-    RankAssignment,
     all_height2_tree_posets,
     antichain,
     chain,
@@ -20,7 +19,6 @@ from posetlab.poset import (
     poset_from_covers,
     poset_from_json,
     poset_to_json,
-    rank_assignment,
     rank_coloring,
     t_r3_poset,
     y_poset,
@@ -95,10 +93,9 @@ def test_closure_matches_networkx(data):
 
 def test_dual_of_y12_has_unique_maximal():
     lam = dual(y_poset(1, 2))
-    ra = rank_assignment(lam)
     maximal = [x for x in lam.elements if not lam.cover_children[lam.index[x]]]
     assert maximal == ["x1"]
-    assert ra.graded
+    assert lam.graded
 
 
 @given(posets())
@@ -113,25 +110,25 @@ def test_antichain_self_dual():
 
 def test_rank_assignment_y():
     for h, s in ((1, 2), (2, 2), (3, 4)):
-        ra = rank_assignment(y_poset(h, s))
-        assert ra.graded
+        p = y_poset(h, s)
+        ranks = rank_coloring(p)
+        assert p.graded
         for i in range(1, h + 1):
-            assert ra.ranks[f"x{i}"] == i - 1
+            assert ranks[f"x{i}"] == i - 1
         for j in range(1, s + 1):
-            assert ra.ranks[f"y{j}"] == h
+            assert ranks[f"y{j}"] == h
 
 
 def test_rank_assignment_non_graded():
     p = poset_from_covers("abcd", [("a", "b"), ("b", "d"), ("c", "d")])
-    ra = rank_assignment(p)
-    assert ra.ranks == {"a": 0, "b": 1, "c": 0, "d": 2}
-    assert not ra.graded
+    assert rank_coloring(p) == {"a": 0, "b": 1, "c": 0, "d": 2}
+    assert not p.graded
 
 
 def test_rank_assignment_antichain():
-    ra = rank_assignment(antichain(4))
-    assert set(ra.ranks.values()) == {0}
-    assert ra.graded
+    p = antichain(4)
+    assert set(rank_coloring(p).values()) == {0}
+    assert p.graded
 
 
 def test_height():
@@ -151,6 +148,17 @@ def test_gen_named_dispatch():
         gen_named("zigzag", (1,))
     with pytest.raises(InvalidParam):
         gen_named("chain", (0,))
+
+
+def test_generators_hold_the_64_element_cap():
+    at_cap = [chain(64), antichain(64), y_poset(60, 4), y_prime_poset(4, 60),
+              complete_multilevel([30, 34]), t_r3_poset(7), t_r3_poset(7, "children")]
+    assert [len(p) for p in at_cap] == [64, 64, 64, 64, 64, 50, 57]
+    over_cap = [(chain, 65), (antichain, 65), (y_poset, 61, 4), (y_prime_poset, 4, 61),
+                (complete_multilevel, [30, 35]), (t_r3_poset, 8), (t_r3_poset, 8, "children")]
+    for build, *args in over_cap:
+        with pytest.raises(InvalidParam, match="at most 64"):
+            build(*args)
 
 
 def test_t_r3_degree_reading():
@@ -191,10 +199,10 @@ def test_classify_tree():
 
 def test_generators_are_graded_with_unit_cover_jumps():
     for p in (chain(4), y_poset(3, 2), t_r3_poset(3), complete_multilevel([2, 3, 1])):
-        ra = rank_assignment(p)
-        assert ra.graded
+        ranks = rank_coloring(p)
+        assert p.graded
         for a, b in p.covers:
-            assert ra.ranks[b] - ra.ranks[a] == 1
+            assert ranks[b] - ranks[a] == 1
 
 
 def test_y_generator_properties():
@@ -202,7 +210,7 @@ def test_y_generator_properties():
         for s in (1, 2, 3):
             p = y_poset(h, s)
             assert height(p) == h + 1
-            assert rank_assignment(p).graded
+            assert p.graded
             assert classify_tree(p) == "monotone_increasing"
 
 
@@ -228,7 +236,7 @@ def test_cached_order_data_matches_independent_routes(p):
     below, above = longest_chains(p.down), longest_chains(p.up)
     graded = all(below[p.index[b]] - below[p.index[a]] == 1 for a, b in p.covers)
     assert list(p.ranks) == below and p.graded == graded
-    assert rank_assignment(p) == RankAssignment(dict(zip(p.elements, below)), graded)
+    assert rank_coloring(p) == dict(zip(p.elements, below))
     assert p.chain_room == tuple(zip(below, above)) == tuple(zip(below, dual(p).ranks))
     assert p.height == height(p) == 1 + max(b + a for b, a in p.chain_room)
     graph = nx.Graph()

@@ -64,28 +64,6 @@ def test_search_is_deterministic():
     assert (a.value, a.witness, a.nodes_explored) == (b.value, b.witness, b.nodes_explored)
 
 
-def test_value_identical_across_worker_counts():
-    for forbidden in ([], [antichain(2)], [C2], [Y12, Y12P], [Y22, Y22P]):
-        for n in range(1, 5):
-            seq = la_exact(n, forbidden, "weak")
-            for workers in (2, 3):
-                par = la_exact(n, forbidden, "weak", SearchConfig(workers=workers))
-                assert (par.value, par.witness, par.exact) == (
-                    seq.value, seq.witness, seq.exact
-                ), (forbidden, n, workers)
-    par = la_exact(4, [Y12, Y12P], "weak", SearchConfig(workers=2))
-    free, _ = verify_free(par.witness, [Y12, Y12P], "weak")
-    assert free and len(par.witness) == par.value
-
-
-def test_parallel_split_counts_each_prefix_node_once():
-    # chain(1) forbids every set: one exclude path of 17 nodes.  The split
-    # hands its depth-4 node to a task, which must be the only one counting it.
-    seq = la_exact(4, [chain(1)], "weak")
-    par = la_exact(4, [chain(1)], "weak", SearchConfig(workers=2))
-    assert seq.nodes_explored == par.nodes_explored == 17
-
-
 N_POSET = poset_from_covers("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
 
 # (mode, forbidden, coloring) -> (value, nodes_explored, witness members) at
@@ -123,16 +101,16 @@ def test_search_tree_is_pinned_with_the_interval_route(mode, forbidden, coloring
 
 @settings(max_examples=100)
 @given(forbidden=st.lists(posets(max_elements=4), min_size=1, max_size=2),
-       n=st.integers(1, 4), mode=st.sampled_from(MODES), workers=st.sampled_from((1, 2)),
-       symmetry=st.booleans(), own_class=st.integers(0, 15))
-def test_la_exact_matches_exhaustive_oracle(forbidden, n, mode, workers, symmetry, own_class):
+       n=st.integers(1, 4), mode=st.sampled_from(MODES), symmetry=st.booleans(),
+       own_class=st.integers(0, 15))
+def test_la_exact_matches_exhaustive_oracle(forbidden, n, mode, symmetry, own_class):
     coloring = None
     if mode == "colored":
         # one poset: rank classes, the elements in own_class on classes of their own
         forbidden = forbidden[:1]
         coloring = {x: 100 + i if own_class >> i & 1 else r
                     for i, (x, r) in enumerate(rank_coloring(forbidden[0]).items())}
-    cfg = SearchConfig(workers=workers, symmetry_pruning=symmetry)
+    cfg = SearchConfig(symmetry_pruning=symmetry)
     try:
         want = exhaustive_max_free(n, forbidden, mode, coloring)
     except NotGraded:
@@ -145,14 +123,6 @@ def test_la_exact_matches_exhaustive_oracle(forbidden, n, mode, workers, symmetr
         assert verify_free(witness, forbidden, mode, coloring) == (True, None)
 
 
-def test_parallel_witness_ties_resolve_in_branch_order():
-    # Five workers split six candidates deep.  The split's own incumbent then
-    # ties a family that a subtree task finds earlier in branch order.
-    seq = la_exact(3, [Y12P], "induced")
-    par = la_exact(3, [Y12P], "induced", SearchConfig(workers=5))
-    assert (par.value, par.witness) == (seq.value, seq.witness)
-
-
 def test_deep_budgeted_search_is_inexact():
     for n in (10, 12):
         out = la_exact(n, [C2], "weak", SearchConfig(budget_ms=300))
@@ -162,9 +132,8 @@ def test_deep_budgeted_search_is_inexact():
 
 
 def test_search_config_ranges():
-    for cfg in (SearchConfig(workers=0), SearchConfig(workers=-2), SearchConfig(budget_ms=-5)):
-        with pytest.raises(InvalidParam):
-            la_exact(3, [C2], "weak", cfg)
+    with pytest.raises(InvalidParam):
+        la_exact(3, [C2], "weak", SearchConfig(budget_ms=-5))
 
 
 def test_symmetry_pruning_preserves_value():
