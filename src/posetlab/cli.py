@@ -5,44 +5,19 @@ measure, search la, verify paper.  Reports are JSON by default (CSV via
 --format csv), built in full before anything is printed.  Exit codes:
 0 success / all checks pass, 1 a check or verify assertion failed,
 2 usage or input error.  `search la` and `verify paper` accept a hidden
---workers that nothing reads, for old command lines.
+--workers that nothing reads, for old command lines.  Handlers call the
+library through its lazily loaded modules (search.la_exact, ...), so a
+command runs only the modules it uses.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
 
-from . import verify as verify_mod
-from .chains import (
-    chain_weight_average,
-    count_2chains,
-    kleitman_lower_bound,
-    lubell_mass,
-    pair_count,
-)
+from . import chains, embed, family, poset, search, verify
 from .errors import InvalidParam, NotFree, PosetlabError
-from .family import (
-    elements_of,
-    f23_construction,
-    layer_profile,
-    lubell_tail_family,
-    middle_layers,
-    parse_family,
-    serialize_family,
-)
-from .poset import (
-    classify_tree,
-    gen_named,
-    height,
-    poset_from_json,
-    poset_to_json,
-    rank_coloring,
-)
-from .search import SearchConfig, la_exact, saturation_check, verify_free
 
 
 class UsageError(Exception):
@@ -67,16 +42,17 @@ def parse_poset_spec(spec):
     if m:
         kind, raw = m.groups()
         try:
-            return gen_named(_NAMED_ALIASES.get(kind, kind), [int(x) for x in raw.split(",")])
+            return poset.gen_named(_NAMED_ALIASES.get(kind, kind),
+                                   [int(x) for x in raw.split(",")])
         except InvalidParam as exc:
             raise UsageError(f"{spec!r}: {exc}") from exc
     if spec.startswith("named:"):
         raise UsageError(f"unknown named poset {spec!r}")
-    return poset_from_json(_read_text(spec, "poset"))
+    return poset.poset_from_json(_read_text(spec, "poset"))
 
 
 def _load_family(path, expected_n=None):
-    fam = parse_family(_read_text(path, "family"))
+    fam = family.parse_family(_read_text(path, "family"))
     if expected_n is not None and fam.n != expected_n:
         raise UsageError(f"family file has n={fam.n}, --n says {expected_n}")
     return fam
@@ -111,6 +87,9 @@ def _emit(payload, fmt="json"):
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(_flatten_csv(payload))
@@ -139,23 +118,23 @@ def _cmd_poset_gen(args):
         params = [int(x) for x in args.params.split(",")] if args.params else []
     except ValueError as exc:
         raise UsageError(f"--params {args.params!r}: expected comma-separated ints") from exc
-    poset = gen_named(args.kind, params, t3_reading=args.t3_reading)
-    _write_text(poset_to_json(poset) + "\n", args.out)
+    p = poset.gen_named(args.kind, params, t3_reading=args.t3_reading)
+    _write_text(poset.poset_to_json(p) + "\n", args.out)
     return 0
 
 
 def _cmd_poset_show(args):
     if not (args.named or args.file):
         raise UsageError("poset show needs --file or --named")
-    poset = parse_poset_spec(args.named or args.file)
+    p = parse_poset_spec(args.named or args.file)
     _emit(
         {
-            "elements": list(poset.elements),
-            "covers": [list(c) for c in poset.covers],
-            "height": height(poset),
-            "graded": poset.graded,
-            "ranks": rank_coloring(poset),
-            "classification": classify_tree(poset),
+            "elements": list(p.elements),
+            "covers": [list(c) for c in p.covers],
+            "height": poset.height(p),
+            "graded": p.graded,
+            "ranks": poset.rank_coloring(p),
+            "classification": poset.classify_tree(p),
         },
         args.format,
     )
@@ -166,23 +145,23 @@ def _cmd_family_gen(args):
     if args.kind == "middle":
         if args.h is None:
             raise UsageError("family gen --kind middle needs --h")
-        fam = middle_layers(args.n, args.h)
+        fam = family.middle_layers(args.n, args.h)
     elif args.kind == "f23":
-        fam = f23_construction(args.n)
+        fam = family.f23_construction(args.n)
     elif args.kind == "lubell_tail":
         if args.h is None:
             raise UsageError("family gen --kind lubell_tail needs --h")
-        fam = lubell_tail_family(args.n, args.h)
+        fam = family.lubell_tail_family(args.n, args.h)
     else:
         raise UsageError(f"unknown family kind {args.kind!r}")
-    _write_text(serialize_family(fam), args.out)
+    _write_text(family.serialize_family(fam), args.out)
     return 0
 
 
 def _cmd_family_stats(args):
     fam = _load_family(args.file)
     _emit(
-        {"n": fam.n, "size": len(fam), "profile": layer_profile(fam)},
+        {"n": fam.n, "size": len(fam), "profile": family.layer_profile(fam)},
         args.format,
     )
     return 0
@@ -191,7 +170,7 @@ def _cmd_family_stats(args):
 def _cmd_check_free(args):
     fam = _load_family(args.family, args.n)
     forbidden = [parse_poset_spec(s) for s in args.forbid]
-    free, witness = verify_free(fam, forbidden, _mode(args.mode))
+    free, witness = embed.verify_free(fam, forbidden, _mode(args.mode))
     _emit(
         {
             "check": "free",
@@ -212,7 +191,7 @@ def _cmd_check_saturated(args):
     forbidden = [parse_poset_spec(s) for s in args.forbid]
     mode = _mode(args.mode)
     try:
-        result = saturation_check(fam, forbidden, mode)
+        result = embed.saturation_check(fam, forbidden, mode)
     except NotFree as exc:
         _emit(
             {
@@ -234,7 +213,7 @@ def _cmd_check_saturated(args):
             "forbidden": args.forbid,
             "saturated": result.saturated,
             "counterexample": (
-                elements_of(result.counterexample)
+                family.elements_of(result.counterexample)
                 if result.counterexample is not None
                 else None
             ),
@@ -248,11 +227,11 @@ def _cmd_measure(args):
     fam = _load_family(args.family)
     _emit(
         {
-            "lubell": str(lubell_mass(fam)),
-            "pairCount": str(pair_count(fam)),
-            "twoChains": count_2chains(fam),
-            "kleitmanBound": kleitman_lower_bound(len(fam), fam.n),
-            "chainAvg": str(chain_weight_average(fam)),
+            "lubell": str(chains.lubell_mass(fam)),
+            "pairCount": str(chains.pair_count(fam)),
+            "twoChains": chains.count_2chains(fam),
+            "kleitmanBound": chains.kleitman_lower_bound(len(fam), fam.n),
+            "chainAvg": str(chains.chain_weight_average(fam)),
         },
         args.format,
     )
@@ -261,10 +240,10 @@ def _cmd_measure(args):
 
 def _cmd_search_la(args):
     forbidden = [parse_poset_spec(s) for s in args.forbid]
-    cfg = SearchConfig(budget_ms=args.budget_ms, symmetry_pruning=args.symmetry)
-    outcome = la_exact(args.n, forbidden, _mode(args.mode), cfg)
+    cfg = search.SearchConfig(budget_ms=args.budget_ms, symmetry_pruning=args.symmetry)
+    outcome = search.la_exact(args.n, forbidden, _mode(args.mode), cfg)
     if args.emit_witness:
-        _write_text(serialize_family(outcome.witness), args.emit_witness)
+        _write_text(family.serialize_family(outcome.witness), args.emit_witness)
     _emit(
         {
             "command": "search la",
@@ -283,7 +262,8 @@ def _cmd_search_la(args):
 
 
 def _cmd_verify_paper(args):
-    report = verify_mod.run_suite(suite=args.suite, max_n=args.max_n, seed=args.seed)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    report = verify.run_suite(suite=args.suite, max_n=args.max_n, seed=seed)
     report = {"command": "verify paper", **report}
     _emit(report, args.format)
     return 0 if report["pass"] else 1
@@ -365,7 +345,7 @@ def _build_parser():
     vp = verify_sub.add_parser("paper", help="run the claim verification suite")
     vp.add_argument("--suite", choices=("all", "fast"), default="all")
     vp.add_argument("--max-n", type=int, default=7)
-    vp.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    vp.add_argument("--seed", type=int)
     vp.add_argument("--workers", type=int, help=argparse.SUPPRESS)  # not read
     _add_format(vp)
     vp.set_defaults(func=_cmd_verify_paper)

@@ -49,6 +49,12 @@ the caller's members, size groups and member set, forces it onto each
 poset element in turn (placed first in a Hasse-connected order from there,
 so every later candidate is filtered against it) and removes it again.
 
+The check entry points live here too: verify_free runs find_copy per
+forbidden poset, and saturation_check probes every outside set in
+canonical order through _copy_through, with no family built per probe.
+`check free` and `check saturated` need only this module, family and
+poset; search re-exports the three names for older callers.
+
 Tie-breaking is fixed: candidate images in canonical family order, class
 sizes ascending, so the returned witness is deterministic.  It is the
 first embedding found, not a canonical minimum.
@@ -56,7 +62,6 @@ first embedding found, not a canonical minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
@@ -67,8 +72,9 @@ from .errors import (
     EmbedFailed,
     InvalidColoring,
     InvalidParam,
+    NotFree,
 )
-from .family import elements_of
+from .family import canonical_masks, elements_of
 from .poset import classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
@@ -387,6 +393,40 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
     return None if image is None else _to_embedding(image, poset, mode)
 
 
+def verify_free(fam, forbidden, mode="weak", coloring=None):
+    """(True, None) when no forbidden poset has a copy, else (False, witness)."""
+    for p in forbidden:
+        witness = find_copy(fam, p, mode, coloring)
+        if witness is not None:
+            return False, witness
+    return True, None
+
+
+@dataclass
+class SaturationResult:
+    saturated: bool
+    counterexample: int | None = None
+
+
+def saturation_check(fam, forbidden, mode="weak", coloring=None):
+    """Is the family free and does every outside set create a copy?
+
+    Raises NotFree when the input already contains a forbidden copy; the
+    first counterexample in canonical order is reported otherwise.
+    """
+    free, witness = verify_free(fam, forbidden, mode, coloring)
+    if not free:
+        raise NotFree(witness)
+    tables = [(p, _class_setup(p, mode, coloring)) for p in forbidden]
+    pool = _Pool.copy_of(fam)
+    for s in canonical_masks(fam.n):
+        if s not in fam and all(
+            _copy_through(pool, p, mode, s, classes) is None for p, classes in tables
+        ):
+            return SaturationResult(False, s)
+    return SaturationResult(True, None)
+
+
 # ---------------------------------------------------------------------------
 # Reference matcher: try every injective assignment.  Kept deliberately
 # naive; it is the second route that the backtracking matcher is checked
@@ -509,6 +549,8 @@ class InclusionBigraph:
         return len(self.left) + len(self.right)
 
     def average_degree(self):
+        from fractions import Fraction
+
         if self.vertex_count == 0:
             return Fraction(0)
         return Fraction(2 * self.edge_count, self.vertex_count)

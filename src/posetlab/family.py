@@ -190,12 +190,17 @@ def lubell_tail_family(n, h):
 # File format: first line "n=<int>", then one member per line as a
 # comma-separated ascending element list; "-" denotes the empty set.
 
+def _is_decimal(tok):
+    """ASCII digits only: str.isdigit also accepts '²' and '٣'."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_family(text):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input, expected a n=<int> header", 1)
     header = lines[0].strip()
-    if not header.startswith("n=") or not header[2:].strip().isdigit():
+    if not header.startswith("n=") or not _is_decimal(header[2:].strip()):
         raise ParseError(f"expected n=<int> header, got {header!r}", 1)
     n = int(header[2:])
     _check_ground(n)
@@ -210,7 +215,7 @@ def parse_family(text):
         elems = []
         for tok in line.split(","):
             tok = tok.strip()
-            if not tok.isdigit():
+            if not _is_decimal(tok):
                 raise ParseError(f"bad element {tok!r}", lineno)
             elems.append(int(tok))
         for e in elems:

@@ -4,8 +4,10 @@ la_exact runs include/exclude branch-and-bound over all 2^n candidate sets
 in canonical order (include branch first).  Feasibility pruning works one
 set at a time and in place: the included sets, and the same sets grouped
 by size, are push/pop lists that embed._copy_through tests a candidate s
-on, anchored at s; saturation_check probes outside sets the same way, with
-no family built per probe.  The upper bound is the trivial cardinality
+on, anchored at s.  The check entry points verify_free and
+saturation_check (with SaturationResult) live in embed, so the `check`
+commands never load this module; they are re-exported here for callers
+that import them from search.  The upper bound is the trivial cardinality
 bound, tightened when the forbidden pair is a Y poset together with its
 dual: once the included family has a chain of h sets ending at T, at most
 s-1 further supersets of T fit (per size class in rank-preserving mode, in
@@ -33,7 +35,9 @@ from .embed import (
     find_copy,
     is_copy_image,
 )
-from .errors import InvalidParam, NotFree
+# The check entry points live in embed; callers may still import them here.
+from .embed import SaturationResult, saturation_check, verify_free  # noqa: F401
+from .errors import InvalidParam
 from .family import SetFamily, canonical_masks, middle_layers
 from .poset import height, is_isomorphic, y_poset, y_prime_poset
 
@@ -56,12 +60,6 @@ class SearchOutcome:
     mode: str
     forbidden: tuple
     exact: bool
-
-
-@dataclass
-class SaturationResult:
-    saturated: bool
-    counterexample: int | None = None
 
 
 def _detect_y_pair(forbidden):
@@ -281,34 +279,6 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
                 best, best_bits = pc, fam_bits
     witness = SetFamily(n, tuple(masks[c] for c in range(m) if best_bits >> c & 1))
     return SearchOutcome(best, witness, 1 << m, mode, forbidden, True)
-
-
-def verify_free(fam, forbidden, mode="weak", coloring=None):
-    """(True, None) when no forbidden poset has a copy, else (False, witness)."""
-    for p in forbidden:
-        witness = find_copy(fam, p, mode, coloring)
-        if witness is not None:
-            return False, witness
-    return True, None
-
-
-def saturation_check(fam, forbidden, mode="weak", coloring=None):
-    """Is the family free and does every outside set create a copy?
-
-    Raises NotFree when the input already contains a forbidden copy; the
-    first counterexample in canonical order is reported otherwise.
-    """
-    free, witness = verify_free(fam, forbidden, mode, coloring)
-    if not free:
-        raise NotFree(witness)
-    tables = [(p, _class_setup(p, mode, coloring)) for p in forbidden]
-    pool = _Pool.copy_of(fam)
-    for s in canonical_masks(fam.n):
-        if s not in fam and all(
-            _copy_through(pool, p, mode, s, classes) is None for p, classes in tables
-        ):
-            return SaturationResult(False, s)
-    return SaturationResult(True, None)
 
 
 def max_free_layers(poset, n, mode="weak", coloring=None):

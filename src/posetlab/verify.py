@@ -25,6 +25,8 @@ from .embed import (
     find_copy_bruteforce,
     greedy_tree_embed,
     min_degree_subgraph,
+    saturation_check,
+    verify_free,
 )
 from .errors import InvalidParam, NotFree, NotGraded
 from .family import (
@@ -43,7 +45,7 @@ from .poset import (
     y_poset,
     y_prime_poset,
 )
-from .search import exhaustive_max_free, la_exact, saturation_check, verify_free
+from .search import exhaustive_max_free, la_exact
 
 DEFAULT_SEED = 20240801
 

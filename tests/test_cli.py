@@ -245,13 +245,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("check", "free", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/empty.json"),
         ("check", "saturated", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/empty.json"),
         ("search", "la", "--n", "3", "--forbid", "{tmp}/empty.json"),
+        ("family", "stats", "--file", "{tmp}/superscript.txt"),
+        ("family", "stats", "--file", "{tmp}/superscript-n.txt"),
+        ("family", "stats", "--file", "{tmp}/arabic-indic.txt"),
     ],
     ids=["show-missing-file", "gen-bad-params", "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
          "poset-not-utf8", "poset-cover-triple", "forbid-cover-triple",
          "poset-elements-string", "poset-labels-int", "verify-max-n-1",
          "verify-max-n-0", "verify-max-n-negative", "check-free-empty-poset",
-         "check-saturated-empty-poset", "search-empty-poset"],
+         "check-saturated-empty-poset", "search-empty-poset", "family-superscript-digit",
+         "family-superscript-n", "family-arabic-indic-digit"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))
@@ -261,6 +265,9 @@ def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "int-labels.json").write_text('{"elements": [1, 2], "covers": [[1, 2]]}')
     (tmp_path / "empty.json").write_text('{"elements": [], "covers": []}')
     (tmp_path / "fam.txt").write_text("n=2\n1\n")
+    (tmp_path / "superscript.txt").write_text("n=3\n1,\u00b2\n", encoding="utf-8")
+    (tmp_path / "superscript-n.txt").write_text("n=\u00b2\n1\n", encoding="utf-8")
+    (tmp_path / "arabic-indic.txt").write_text("n=3\n1,\u0663\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
