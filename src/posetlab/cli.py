@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import chains, embed, family, poset, search, verify
@@ -24,10 +23,6 @@ class UsageError(Exception):
     pass
 
 
-_NAMED_RE = re.compile(r"^named:(chain|y'|y|t3)\((\d+(?:,\d+)*)\)$")
-
-_NAMED_ALIASES = {"y'": "y_prime", "t3": "t_r3"}  # spec name -> poset.gen_named kind
-
 MODE_NAMES = {
     "weak": "weak",
     "induced": "induced",
@@ -37,18 +32,26 @@ MODE_NAMES = {
 
 
 def parse_poset_spec(spec):
-    """named:chain(k) | named:y(h,s) | named:y'(h,s) | named:t3(r) | JSON path."""
-    m = _NAMED_RE.match(spec)
-    if m:
-        kind, raw = m.groups()
-        try:
-            return poset.gen_named(_NAMED_ALIASES.get(kind, kind),
-                                   [int(x) for x in raw.split(",")])
-        except InvalidParam as exc:
-            raise UsageError(f"{spec!r}: {exc}") from exc
-    if spec.startswith("named:"):
-        raise UsageError(f"unknown named poset {spec!r}")
-    return poset.poset_from_json(_read_text(spec, "poset"))
+    """named:K(a,...) with K any poset.gen_named name, e.g. named:y'(1,3),
+    or a poset JSON path."""
+    if not spec.startswith("named:"):
+        return poset.poset_from_json(_read_text(spec, "poset"))
+    kind, _, rest = spec[len("named:"):].partition("(")
+    if not rest.endswith(")"):
+        raise UsageError(f"malformed named poset {spec!r}; expected named:KIND(a,b,...)")
+    try:
+        return poset.gen_named(kind, _ints(rest[:-1], repr(spec)))
+    except InvalidParam as exc:
+        raise UsageError(f"{spec!r}: {exc}") from exc
+
+
+def _ints(text, what):
+    """Comma-separated ASCII decimal numbers, spaces around each allowed;
+    int() alone would also take '٣', '+2' and '2_0'."""
+    tokens = [t.strip() for t in text.split(",")] if text else []
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise UsageError(f"{what}: expected comma-separated numbers of digits 0-9, got {text!r}")
+    return [int(t) for t in tokens]
 
 
 def _load_family(path, expected_n=None):
@@ -114,11 +117,7 @@ def _flatten_csv(payload, prefix=""):
 # Subcommand handlers; each returns the process exit code.
 
 def _cmd_poset_gen(args):
-    try:
-        params = [int(x) for x in args.params.split(",")] if args.params else []
-    except ValueError as exc:
-        raise UsageError(f"--params {args.params!r}: expected comma-separated ints") from exc
-    p = poset.gen_named(args.kind, params, t3_reading=args.t3_reading)
+    p = poset.gen_named(args.kind, _ints(args.params, "--params"), t3_reading=args.t3_reading)
     _write_text(poset.poset_to_json(p) + "\n", args.out)
     return 0
 
@@ -190,27 +189,17 @@ def _cmd_check_saturated(args):
     fam = _load_family(args.family, args.n)
     forbidden = [parse_poset_spec(s) for s in args.forbid]
     mode = _mode(args.mode)
+    report = {"check": "saturated", "n": fam.n, "familySize": len(fam), "mode": mode,
+              "forbidden": args.forbid}
     try:
         result = embed.saturation_check(fam, forbidden, mode)
     except NotFree as exc:
-        _emit(
-            {
-                "check": "saturated",
-                "mode": mode,
-                "saturated": False,
-                "notFree": True,
-                "witness": exc.witness.to_json_dict(),
-            },
-            args.format,
-        )
+        _emit({**report, "saturated": False, "notFree": True,
+               "witness": exc.witness.to_json_dict()}, args.format)
         return 1
     _emit(
         {
-            "check": "saturated",
-            "n": fam.n,
-            "familySize": len(fam),
-            "mode": mode,
-            "forbidden": args.forbid,
+            **report,
             "saturated": result.saturated,
             "counterexample": (
                 family.elements_of(result.counterexample)
@@ -285,8 +274,7 @@ def _build_parser():
     poset_p = sub.add_parser("poset", help="generate or inspect posets")
     poset_sub = poset_p.add_subparsers(dest="subcommand", required=True)
     g = poset_sub.add_parser("gen", help="emit a named poset as JSON")
-    g.add_argument("--kind", required=True,
-                   choices=("chain", "antichain", "y", "y_prime", "t_r3", "complete_multilevel"))
+    g.add_argument("--kind", required=True, help="a named:KIND name, e.g. y or y'")
     g.add_argument("--params", default="", help="comma-separated positive ints")
     g.add_argument("--t3-reading", choices=("degree", "children"), default="degree")
     g.add_argument("--out")

@@ -2,9 +2,10 @@
 
 Elements carry opaque string labels.  Posets are capped at 64 elements so
 the full order relation fits in one bitmask per element: ``up[i]`` has bit
-``j`` set iff element i <= element j.  Construction goes through
-:func:`poset_from_covers`, which closes, checks acyclicity and stores the
-transitively reduced cover list; instances are immutable afterwards.
+``j`` set iff element i <= element j.  That closure is computed once per
+poset, by ``Poset.up``, from whatever pairs it holds: :func:`poset_from_covers`
+closes raw pairs with it, reads the cycle check and the transitive reduction
+off it and hands it on to the reduced poset; instances are immutable.
 Everything derived from the order (relation bitmasks, Hasse lists and
 orders, ranks, chain room, height, rank classes) is a cached property,
 computed once per instance (a Hasse order once per start element, on its
@@ -28,8 +29,9 @@ TREE_CLASSES = ("not_tree", "tree", "monotone_increasing", "monotone_decreasing"
 class Poset:
     """Immutable poset: labels in fixed order plus an irredundant cover list.
 
-    ``covers`` must already be transitively reduced and acyclic; use
-    :func:`poset_from_covers` for raw input.
+    ``covers`` must already be transitively reduced and acyclic (only
+    ``up`` and ``down`` hold for any pairs); use :func:`poset_from_covers`
+    for raw input.
     """
 
     elements: tuple[str, ...]
@@ -69,23 +71,17 @@ class Poset:
 
     @cached_property
     def up(self):
-        """up[i]: bitmask of indices j with element_i <= element_j (reflexive)."""
-        n = len(self.elements)
-        up = [0] * n
-        done = [False] * n
-
-        def visit(i):
-            if done[i]:
-                return
-            m = 1 << i
-            for j in self.cover_children[i]:
-                visit(j)
-                m |= up[j]
-            up[i] = m
-            done[i] = True
-
-        for i in range(n):
-            visit(i)
+        """up[i]: bitmask of indices j with element_i <= element_j (reflexive):
+        the closure of whatever pairs the poset holds, by Warshall over
+        bitmask rows.  poset_from_covers runs it on raw pairs too."""
+        idx = self.index
+        up = [1 << i for i in range(len(self.elements))]
+        for a, b in self.covers:
+            up[idx[a]] |= 1 << idx[b]
+        for j, row in enumerate(up):
+            for i in range(len(up)):
+                if up[i] >> j & 1:
+                    up[i] |= row
         return tuple(up)
 
     @cached_property
@@ -194,38 +190,25 @@ def poset_from_covers(elements, covers):
     if len(labels) > MAX_ELEMENTS:
         raise InvalidParam(f"at most {MAX_ELEMENTS} elements supported")
     idx = {x: i for i, x in enumerate(labels)}
-    n = len(labels)
-    reach = [1 << i for i in range(n)]
-    for a, b in covers:
+    pairs = tuple(covers)
+    for a, b in pairs:
         if a not in idx or b not in idx:
             raise InvalidParam(f"cover pair ({a!r}, {b!r}) uses an unknown label")
         if a == b:
             raise CycleError(f"self-relation on {a!r}")
-        reach[idx[a]] |= 1 << idx[b]
-    # Warshall closure over bitmask rows.
-    for j in range(n):
-        rj = reach[j]
-        for i in range(n):
-            if reach[i] >> j & 1:
-                reach[i] |= rj
+    closed = Poset(labels, pairs)
+    up, down = closed.up, closed.down
+    n = len(labels)
     for i in range(n):
-        for j in range(i + 1, n):
-            if reach[i] >> j & 1 and reach[j] >> i & 1:
-                raise CycleError(f"{labels[i]!r} and {labels[j]!r} lie on a cycle")
-    strict = [reach[i] & ~(1 << i) for i in range(n)]
-    below = [0] * n
-    for i in range(n):
-        si = strict[i]
-        for j in range(n):
-            if si >> j & 1:
-                below[j] |= 1 << i
-    reduced = []
-    for i in range(n):
-        si = strict[i]
-        for j in range(n):
-            if si >> j & 1 and strict[i] & below[j] & ~(1 << i) & ~(1 << j) == 0:
-                reduced.append((labels[i], labels[j]))
-    return Poset(labels, tuple(sorted(reduced)))
+        if up[i] & down[i] != 1 << i:
+            j = (up[i] & down[i]).bit_length() - 1
+            raise CycleError(f"{labels[i]!r} and {labels[j]!r} lie on a cycle")
+    # j covers i iff the interval [i, j] holds just the two of them
+    p = Poset(labels, tuple(sorted(
+        (labels[i], labels[j]) for i in range(n) for j in range(n)
+        if i != j and up[i] & down[j] == 1 << i | 1 << j)))
+    vars(p).update(index=idx, up=up, down=down)  # the reduction has the same closure
+    return p
 
 
 def _longest_chains(links, reach):
@@ -361,28 +344,31 @@ def complete_multilevel(sizes):
     return Poset(tuple(labels), tuple(sorted(covers)))
 
 
+# Every name of a kind, for named:K(...) and `poset gen --kind K` alike.
 _GENERATORS = {
     "chain": (chain, 1),
     "antichain": (antichain, 1),
     "y": (y_poset, 2),
     "y_prime": (y_prime_poset, 2),
+    "y'": (y_prime_poset, 2),
     "t_r3": (t_r3_poset, 1),
+    "t3": (t_r3_poset, 1),
     "complete_multilevel": (complete_multilevel, None),
 }
 
 
 def gen_named(kind, params, t3_reading="degree"):
-    """Dispatch on the generator name; params is a sequence of positive ints
-    (the full sizes list for complete_multilevel)."""
+    """Dispatch on any name in _GENERATORS; params is a sequence of positive
+    ints (the full sizes list for complete_multilevel)."""
     if kind not in _GENERATORS:
-        raise InvalidParam(f"unknown poset kind {kind!r}")
+        raise InvalidParam(f"unknown poset kind {kind!r}; known: {', '.join(_GENERATORS)}")
     fn, arity = _GENERATORS[kind]
     params = list(params)
     if arity is None:
         return fn(params)
     if len(params) != arity:
         raise InvalidParam(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    if kind == "t_r3":
+    if fn is t_r3_poset:
         return fn(params[0], reading=t3_reading)
     return fn(*params)
 
@@ -437,13 +423,8 @@ def is_isomorphic(p, q):
 
 
 def _labeled_trees(t):
-    """All labeled trees on vertices 0..t-1 as edge lists (Pruefer decode)."""
-    if t == 1:
-        yield []
-        return
-    if t == 2:
-        yield [(0, 1)]
-        return
+    """All labeled trees on vertices 0..t-1, t >= 2, as edge lists (Pruefer
+    decode; the empty sequence gives the one tree on two vertices)."""
     for seq in product(range(t), repeat=t - 2):
         deg = [1] * t
         for v in seq:

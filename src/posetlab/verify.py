@@ -105,6 +105,11 @@ def _random_dense_bigraph(rng, t):
     return InclusionBigraph(tuple(full_layer(8, 2)), tuple(full_layer(8, 5)))
 
 
+def _ns(lo, hi):
+    """The n a check ran over lo..hi, for its inputs: "none" when hi < lo."""
+    return "none" if hi < lo else str(lo) if hi == lo else f"{lo}..{hi}"
+
+
 # ---------------------------------------------------------------------------
 # Checks.  Each returns a CheckResult; `counts` scales corpus sizes.
 
@@ -119,7 +124,7 @@ def check_sperner(max_n):
     return CheckResult(
         "sperner_small_n",
         "largest antichain in 2^[n] has size C(n, floor(n/2))",
-        {"n": f"2..{min(5, max_n)}"},
+        {"n": _ns(2, min(5, max_n))},
         {"values": values},
         ok,
     )
@@ -138,7 +143,7 @@ def check_y12_pair(max_n):
         "y12_pair_small_n",
         "largest family avoiding Y(1,2) and its dual: the middle layer for "
         "even n, twice the middle layer of [n-1] for odd n",
-        {"n": "4, 5"},
+        {"n": "4, 5" if max_n >= 5 else "4"},
         observed,
         ok,
     )
@@ -160,7 +165,7 @@ def check_middle_saturation(max_n):
         "middle_layers_saturated",
         "two middle layers avoid the rank-preserving Y(2,2) pair and every "
         "added set creates a copy",
-        {"n": f"5..{min(7, max_n)}"},
+        {"n": _ns(5, min(7, max_n))},
         {"perN": per_n},
         ok,
     )
@@ -181,7 +186,7 @@ def check_chain_average(max_n, families_per_n, seed):
     return CheckResult(
         "chain_average_identity",
         "the average maximal-chain weight equals the family size, exactly",
-        {"n": f"3..{min(7, max_n)}", "familiesPerN": str(families_per_n)},
+        {"n": _ns(3, min(7, max_n)), "familiesPerN": str(families_per_n)},
         {"familiesTested": str(tested)},
         ok,
     )
@@ -200,7 +205,7 @@ def check_pair_count(max_n, families_per_n, seed):
     return CheckResult(
         "pair_count_identity",
         "member/maximal-chain incidences equal Lubell mass times n!",
-        {"n": f"3..{min(7, max_n)}", "familiesPerN": str(families_per_n)},
+        {"n": _ns(3, min(7, max_n)), "familiesPerN": str(families_per_n)},
         {"familiesTested": str(tested)},
         ok,
     )

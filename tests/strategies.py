@@ -21,6 +21,17 @@ def dag_covers(draw, max_elements=6):
 
 
 @st.composite
+def relation_pairs(draw, max_elements=5):
+    """Labels plus pairs drawn in both directions, self-pairs included, so
+    some inputs hold cycles."""
+    k = draw(st.integers(min_value=1, max_value=max_elements))
+    labels = [f"e{i}" for i in range(k)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                          max_size=2 * k))
+    return labels, pairs
+
+
+@st.composite
 def posets(draw, max_elements=6):
     labels, pairs = draw(dag_covers(max_elements))
     return poset_from_covers(labels, pairs)

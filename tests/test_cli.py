@@ -5,7 +5,7 @@ import pytest
 
 from posetlab.cli import UsageError, parse_poset_spec, run
 from posetlab.family import parse_family, serialize_family, middle_layers
-from posetlab.poset import chain, t_r3_poset, y_poset, y_prime_poset
+from posetlab.poset import _GENERATORS, chain, gen_named, t_r3_poset, y_poset, y_prime_poset
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +107,26 @@ def test_check_saturated_not_free(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["notFree"] is True
+
+
+def test_check_saturated_reports_share_their_fields(tmp_path, capsys):
+    """Both outcomes of check saturated carry the fields check free carries."""
+    path = tmp_path / "fam.txt"
+    path.write_text(serialize_family(middle_layers(8, 2)))
+    shared = {"check", "n", "familySize", "mode", "forbidden", "saturated"}
+    reports = {}
+    for forbid in ("named:chain(1)", "named:y(2,2)"):
+        code, out, _ = run_cli(capsys, "check", "saturated", "--family", str(path),
+                               "--forbid", forbid)
+        assert code == 1
+        reports[forbid] = json.loads(out)
+    assert set(reports["named:chain(1)"]) == shared | {"notFree", "witness"}
+    assert set(reports["named:y(2,2)"]) == shared | {"counterexample"}
+    for report in reports.values():
+        assert (report["n"], report["familySize"]) == (8, 126)
+    _, out, _ = run_cli(capsys, "check", "free", "--family", str(path),
+                        "--forbid", "named:chain(1)")
+    assert shared - {"saturated"} <= set(json.loads(out))
 
 
 def test_measure(tmp_path, capsys):
@@ -248,6 +268,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("family", "stats", "--file", "{tmp}/superscript.txt"),
         ("family", "stats", "--file", "{tmp}/superscript-n.txt"),
         ("family", "stats", "--file", "{tmp}/arabic-indic.txt"),
+        ("poset", "show", "--named", "named:chain(\u0663)"),
+        ("poset", "gen", "--kind", "chain", "--params", "\u0663"),
+        ("poset", "gen", "--kind", "y", "--params", "2,2_0"),
+        ("poset", "gen", "--kind", "chain", "--params", "+2"),
+        ("poset", "show", "--named", "named:y(2,2"),
+        ("poset", "show", "--named", "named:y(2,,2)"),
+        ("poset", "gen", "--kind", "zigzag", "--params", "1"),
     ],
     ids=["show-missing-file", "gen-bad-params", "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
@@ -255,7 +282,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "poset-elements-string", "poset-labels-int", "verify-max-n-1",
          "verify-max-n-0", "verify-max-n-negative", "check-free-empty-poset",
          "check-saturated-empty-poset", "search-empty-poset", "family-superscript-digit",
-         "family-superscript-n", "family-arabic-indic-digit"],
+         "family-superscript-n", "family-arabic-indic-digit", "named-arabic-indic-digit",
+         "params-arabic-indic-digit", "params-underscore", "params-plus-sign",
+         "named-unclosed", "named-empty-param", "gen-unknown-kind"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))
@@ -292,6 +321,32 @@ def test_poset_show_named(capsys):
     assert info["classification"] == "monotone_increasing"
 
 
+_PARAMS = {"chain": (3,), "antichain": (2,), "y": (2, 3), "y_prime": (1, 3), "y'": (1, 3),
+           "t_r3": (2,), "t3": (3,), "complete_multilevel": (2, 1, 3)}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_every_kind_reads_the_same_through_spec_show_and_gen(capsys, kind):
+    params = _PARAMS[kind]
+    want = gen_named(kind, params)
+    text = ",".join(map(str, params))
+    assert parse_poset_spec(f"named:{kind}({text})") == want
+    for argv in (("show", "--named", f"named:{kind}({text})"),
+                 ("gen", "--kind", kind, "--params", text)):
+        code, out, _ = run_cli(capsys, "poset", *argv)
+        assert code == 0
+        got = json.loads(out)
+        assert got["elements"] == list(want.elements)
+        assert got["covers"] == [list(c) for c in want.covers]
+
+
+def test_params_allow_spaces_around_numbers(capsys):
+    code, out, _ = run_cli(capsys, "poset", "gen", "--kind", "y", "--params", "2, 2")
+    assert code == 0
+    assert json.loads(out)["elements"] == list(y_poset(2, 2).elements)
+    assert parse_poset_spec("named:y( 2 , 2 )") == y_poset(2, 2)
+
+
 def test_poset_gen_complete_multilevel(capsys):
     code, out, _ = run_cli(capsys, "poset", "gen", "--kind", "complete_multilevel",
                            "--params", "2,2")
@@ -317,6 +372,25 @@ def test_verify_paper_fast(capsys):
     names = [c["name"] for c in report["checks"]]
     assert "sperner_small_n" in names
     assert all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("max_n, ran", [
+    (2, {"sperner_small_n": "2", "y12_pair_small_n": "4", "middle_layers_saturated": "none",
+         "chain_average_identity": "none", "pair_count_identity": "none"}),
+    (4, {"sperner_small_n": "2..4", "y12_pair_small_n": "4",
+         "middle_layers_saturated": "none", "chain_average_identity": "3..4",
+         "pair_count_identity": "3..4"}),
+])
+def test_verify_paper_inputs_name_only_the_n_that_ran(capsys, max_n, ran):
+    code, out, _ = run_cli(capsys, "verify", "paper", "--suite", "fast", "--max-n", str(max_n))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert {name: checks[name]["inputs"]["n"] for name in ran} == ran
+    assert checks["middle_layers_saturated"]["observed"] == {"perN": {}}
+    assert list(checks["y12_pair_small_n"]["observed"]) == ["n4"]
+    tested = "0" if max_n == 2 else "40"
+    for name in ("chain_average_identity", "pair_count_identity"):
+        assert checks[name]["observed"] == {"familiesTested": tested}
 
 
 def test_verify_paper_reports_are_reproducible(capsys):

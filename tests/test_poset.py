@@ -24,7 +24,7 @@ from posetlab.poset import (
     y_poset,
     y_prime_poset,
 )
-from strategies import dag_covers, posets
+from strategies import dag_covers, posets, relation_pairs
 
 
 def test_two_chain():
@@ -89,6 +89,34 @@ def test_closure_matches_networkx(data):
     for a in labels:
         for b in labels:
             assert p.le(a, b) == closure.has_edge(a, b)
+
+
+def _digraph(labels, pairs):
+    g = nx.DiGraph()
+    g.add_nodes_from(labels)
+    g.add_edges_from(pairs)
+    return g
+
+
+@given(dag_covers())
+def test_reduction_matches_networkx(data):
+    labels, pairs = data
+    want = nx.transitive_reduction(_digraph(labels, pairs)).edges
+    assert sorted(poset_from_covers(labels, pairs).covers) == sorted(want)
+
+
+@given(relation_pairs())
+def test_cycle_error_exactly_when_networkx_finds_a_cycle(data):
+    labels, pairs = data
+    acyclic = nx.is_directed_acyclic_graph(_digraph(labels, pairs))
+    try:
+        p = poset_from_covers(labels, pairs)
+    except CycleError:
+        assert not acyclic
+    else:
+        assert acyclic
+        closure = nx.transitive_closure(_digraph(labels, pairs), reflexive=True)
+        assert all(p.le(a, b) == closure.has_edge(a, b) for a in labels for b in labels)
 
 
 def test_dual_of_y12_has_unique_maximal():
