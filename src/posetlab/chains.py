@@ -20,7 +20,7 @@ def lubell_mass(fam):
     n = fam.n
     total = Fraction(0)
     for m in fam.members:
-        total += Fraction(1, math.comb(n, bin(m).count("1")))
+        total += Fraction(1, math.comb(n, m.bit_count()))
     return total
 
 
@@ -30,7 +30,7 @@ def pair_count(fam):
     n = fam.n
     total = 0
     for m in fam.members:
-        k = bin(m).count("1")
+        k = m.bit_count()
         total += math.factorial(k) * math.factorial(n - k)
     return total
 
@@ -47,7 +47,7 @@ def chain_weight_average(fam, via="formula"):
     if via == "formula":
         total = 0
         for m in fam.members:
-            k = bin(m).count("1")
+            k = m.bit_count()
             total += math.comb(n, k) * math.factorial(k) * math.factorial(n - k)
         return Fraction(total, nfact)
     if via == "enumeration":
@@ -72,7 +72,7 @@ def chain_weight_average(fam, via="formula"):
 
 def count_2chains(fam):
     """Number of pairs A strictly contained in B within the family."""
-    members = sorted(fam.members, key=lambda m: bin(m).count("1"))
+    members = sorted(fam.members, key=int.bit_count)
     total = 0
     for bi, b in enumerate(members):
         for a in members[:bi]:

@@ -332,7 +332,8 @@ def _build_parser():
     verify_sub = verify_p.add_subparsers(dest="subcommand", required=True)
     vp = verify_sub.add_parser("paper", help="run the claim verification suite")
     vp.add_argument("--suite", choices=("all", "fast"), default="all")
-    vp.add_argument("--max-n", type=int, default=7)
+    vp.add_argument("--max-n", type=int, default=7, help="largest n of the searches and "
+                    "identity sweeps (>= 2); fixed-input checks ignore it; each reports its n")
     vp.add_argument("--seed", type=int)
     vp.add_argument("--workers", type=int, help=argparse.SUPPRESS)  # not read
     _add_format(vp)

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .errors import (
@@ -428,67 +428,72 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference matcher: try every injective assignment.  Kept deliberately
-# naive; it is the second route that the backtracking matcher is checked
-# against.
+# Reference matcher: every k-set of members in every ordering, nothing
+# pruned and no code shared with the backtracking matcher, so a fault in
+# either shows up as a disagreement.  An ordering is tested whole: rel has
+# bit a * k + b set iff position a of the k-set is a subset of position b;
+# Poset.order_pattern puts each pair's bit at the positions the ordering
+# gives it.  need & ~rel == 0 iff every strict pair i < j lands on an
+# inclusion, apart & rel == 0 iff every incomparable pair lands on sets
+# neither of which contains the other: the per-pair conditions, all at
+# once.  Equal class => equal size is checked pair by pair on the
+# orderings that pass.
 
-def _first_copy(assignments, poset, mode, coloring):
-    """First assignment (masks indexed like poset.elements) that meets every
-    copy condition of the mode, or None.  Callers pass all candidates in one
-    call, so the conditions are built once, not once per permutation."""
-    n = len(poset.elements)
-    strict = [(i, j) for i in range(n) for j in range(n) if i != j and poset.up[i] >> j & 1]
-    incomp = []
-    if mode == "induced":
-        incomp = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not (poset.up[i] >> j & 1 or poset.up[j] >> i & 1)
-        ]
+def _copy_tester(poset, mode, coloring, patterns=None):
+    """first(combo): the first ordering of the distinct masks combo (masks
+    indexed like poset.elements) that meets every copy condition of the
+    mode, or None.  The orderings tried are patterns, by default
+    Poset.order_patterns: every permutation, in itertools order."""
     classes = _class_setup(poset, mode, coloring)
-    same_class = [] if classes is None else [
-        (i, j) for i in range(n) for j in range(i + 1, n) if classes[0][i] == classes[0][j]
-    ]
-    for masks in assignments:
-        if any(masks[i] & ~masks[j] for i, j in strict):
-            continue
-        if incomp and any(
-            masks[i] & ~masks[j] == 0 or masks[j] & ~masks[i] == 0 for i, j in incomp
-        ):
-            continue
-        if same_class and any(
-            bin(masks[i]).count("1") != bin(masks[j]).count("1") for i, j in same_class
-        ):
-            continue
-        return masks
-    return None
+    k = len(poset.elements)
+    same_class = [(i, j) for i, j in combinations(range(k), 2)
+                  if classes and classes[0][i] == classes[0][j]]
+    induced = mode == "induced"
+
+    def first(combo):
+        rel = 0  # the diagonal bits are set too; no pattern holds them
+        for a, x in enumerate(combo):
+            for b, y in enumerate(combo):
+                if x & ~y == 0:
+                    rel |= 1 << (a * k + b)
+        for perm, need, apart in patterns or poset.order_patterns:
+            if need & ~rel or induced and apart & rel:
+                continue
+            masks = tuple([combo[p] for p in perm])
+            if all(masks[i].bit_count() == masks[j].bit_count() for i, j in same_class):
+                return masks
+        return None
+
+    return first
 
 
 def is_copy_image(masks, poset, mode="weak", coloring=None):
-    """True iff the masks, as a whole subfamily, are the image of some copy."""
+    """True iff the masks, as a whole subfamily, are the image of some copy:
+    some permutation of them passes the reference matcher's pattern test."""
     _check_mode(mode)
     masks = tuple(masks)
     n = len(poset.elements)
     if len(masks) != n or len(set(masks)) != n:
         return False
-    return _first_copy(permutations(masks), poset, mode, coloring) is not None
+    return _copy_tester(poset, mode, coloring)(masks) is not None
 
 
 def find_copy_bruteforce(fam, poset, mode="weak", coloring=None):
-    """Same contract as :func:`find_copy`, by exhaustive injective search."""
+    """Same contract as :func:`find_copy`, by exhaustive injective search:
+    the member k-sets in canonical combination order, each in every
+    permutation; the first that passes is the witness."""
     _check_mode(mode)
-    n = len(poset.elements)
-    perms = (p for combo in combinations(fam.members, n) for p in permutations(combo))
-    masks = _first_copy(perms, poset, mode, coloring)
-    if masks is None:
-        return None
-    return Embedding({poset.elements[i]: masks[i] for i in range(n)}, mode)
+    first = _copy_tester(poset, mode, coloring)
+    for combo in combinations(fam.members, len(poset.elements)):
+        masks = first(combo)
+        if masks is not None:
+            return Embedding(dict(zip(poset.elements, masks)), mode)
+    return None
 
 
 def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
-    """Validate a witness: injectivity, order conditions, size conditions,
-    and optionally membership in a family."""
+    """Validate a witness (injectivity, order and size conditions, optionally
+    membership in a family) on its own assignment: no permutation table."""
     _check_mode(mode)
     if set(mapping) != set(poset.elements):
         return False
@@ -497,7 +502,8 @@ def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
         return False
     if family is not None and any(m not in family for m in masks):
         return False
-    return _first_copy((masks,), poset, mode, coloring) is not None
+    given = (poset.order_pattern(range(len(masks))),)
+    return _copy_tester(poset, mode, coloring, given)(masks) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +524,8 @@ class InclusionBigraph:
     def __post_init__(self):
         object.__setattr__(self, "left", tuple(sorted(set(self.left))))
         object.__setattr__(self, "right", tuple(sorted(set(self.right))))
-        lsizes = {bin(m).count("1") for m in self.left}
-        rsizes = {bin(m).count("1") for m in self.right}
+        lsizes = {m.bit_count() for m in self.left}
+        rsizes = {m.bit_count() for m in self.right}
         if len(lsizes) > 1 or len(rsizes) > 1:
             raise InvalidParam("each side must be a single set size")
         if lsizes and rsizes and max(lsizes) >= min(rsizes):

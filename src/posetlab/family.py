@@ -25,7 +25,7 @@ def _check_ground(n):
 
 
 def canonical_key(mask):
-    return (bin(mask).count("1"), mask)
+    return (mask.bit_count(), mask)
 
 
 def canonical_masks(n):
@@ -100,7 +100,7 @@ class SetFamily:
         """Members grouped by popcount; values keep canonical (numeric) order."""
         groups = {}
         for m in self.members:
-            groups.setdefault(bin(m).count("1"), []).append(m)
+            groups.setdefault(m.bit_count(), []).append(m)
         return {k: tuple(v) for k, v in groups.items()}
 
 
@@ -108,7 +108,7 @@ def layer_profile(fam):
     """Counts of members per size, as a list indexed 0..n."""
     profile = [0] * (fam.n + 1)
     for m in fam.members:
-        profile[bin(m).count("1")] += 1
+        profile[m.bit_count()] += 1
     return profile
 
 
@@ -154,10 +154,10 @@ def f23_construction(n):
     pins = mask_of([n - 1, n])
     members = []
     for m in range(1 << n):
-        pc = bin(m).count("1")
+        pc = m.bit_count()
         if pc == half + 1 and m & pins == pins:
             members.append(m)
-        elif pc == half and bin(m & pins).count("1") <= 1:
+        elif pc == half and (m & pins).bit_count() <= 1:
             members.append(m)
     return SetFamily(n, tuple(members))
 

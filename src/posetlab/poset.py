@@ -7,16 +7,16 @@ poset, by ``Poset.up``, from whatever pairs it holds: :func:`poset_from_covers`
 closes raw pairs with it, reads the cycle check and the transitive reduction
 off it and hands it on to the reduced poset; instances are immutable.
 Everything derived from the order (relation bitmasks, Hasse lists and
-orders, ranks, chain room, height, rank classes) is a cached property,
-computed once per instance (a Hasse order once per start element, on its
-first lookup); no module keeps a table keyed by a poset.
+orders, ranks, chain room, height, rank classes, permutation patterns) is a
+cached property, computed once per instance (a Hasse order once per start
+element, on its first lookup); no module keeps a table keyed by a poset.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 
 from .errors import CycleError, DuplicateLabel, InvalidParam, NotGraded
 
@@ -144,6 +144,27 @@ class Poset:
         if not self.graded:
             raise NotGraded("rank-preserving copies need a graded poset")
         return self.class_table(self.ranks)
+
+    def order_pattern(self, perm):
+        """(perm, need, apart) for one ordering perm of the n element indices,
+        element i placed at position perm[i]: need has bit perm[i] * n +
+        perm[j] set for every i strictly below j, apart the same bit for
+        every incomparable i, j, both ways round."""
+        n, up, down = len(self.elements), self.up, self.down
+        need = apart = 0
+        for i, j in permutations(range(n), 2):
+            bit = 1 << (perm[i] * n + perm[j])
+            if up[i] >> j & 1:
+                need |= bit
+            elif not down[i] >> j & 1:
+                apart |= bit
+        return perm, need, apart
+
+    @cached_property
+    def order_patterns(self):
+        """order_pattern of every permutation of the element indices, in
+        itertools order: the table of the brute-force matcher in embed."""
+        return tuple(map(self.order_pattern, permutations(range(len(self.elements)))))
 
     def le(self, a, b):
         """a <= b in the partial order (labels)."""
@@ -384,8 +405,8 @@ def is_isomorphic(p, q):
 
     def sig(poset, i):
         return (
-            bin(poset.down[i]).count("1"),
-            bin(poset.up[i]).count("1"),
+            poset.down[i].bit_count(),
+            poset.up[i].bit_count(),
             len(poset.cover_parents[i]),
             len(poset.cover_children[i]),
         )

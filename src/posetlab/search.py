@@ -30,10 +30,10 @@ from itertools import combinations, permutations
 from .embed import (
     _class_setup,
     _copy_through,
+    _copy_tester,
     _Pool,
     ensure_mode_applicable,
     find_copy,
-    is_copy_image,
 )
 # The check entry points live in embed; callers may still import them here.
 from .embed import SaturationResult, saturation_check, verify_free  # noqa: F401
@@ -208,9 +208,9 @@ class _Searcher:
 
     def _lex_minimal(self):
         cur = tuple(self.pool.members)
-        cur_key = tuple(sorted((bin(m).count("1"), m) for m in cur))
+        cur_key = tuple(sorted((m.bit_count(), m) for m in cur))
         for table in self.tables:
-            mapped = tuple(sorted((bin(table[m]).count("1"), table[m]) for m in cur))
+            mapped = tuple(sorted((table[m].bit_count(), table[m]) for m in cur))
             if mapped < cur_key:
                 return False
         return True
@@ -238,8 +238,8 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
 
 def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     """Independent route for tiny n: mark every subfamily that is exactly a
-    copy image (via the permutation matcher), close upward over all 2^(2^n)
-    families, and read off the largest unmarked one."""
+    copy image (by the reference matcher, set up once per forbidden poset),
+    close upward over all 2^(2^n) families, read off the largest unmarked."""
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise InvalidParam(f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}")
     forbidden = tuple(forbidden)
@@ -247,7 +247,7 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     m = len(masks)
     direct = bytearray(1 << m)
     for p in forbidden:
-        ensure_mode_applicable(p, mode, coloring)
+        first = _copy_tester(p, mode, coloring)  # raises the mode's errors
         k = len(p.elements)
         if k > m:
             continue
@@ -257,7 +257,7 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
                 bits |= 1 << c
             if direct[bits]:
                 continue
-            if is_copy_image([masks[c] for c in combo], p, mode, coloring):
+            if first([masks[c] for c in combo]) is not None:
                 direct[bits] = 1
     viol = bytearray(1 << m)
     for fam_bits in range(1, 1 << m):
@@ -274,7 +274,7 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     best, best_bits = 0, 0
     for fam_bits in range(1 << m):
         if not viol[fam_bits]:
-            pc = bin(fam_bits).count("1")
+            pc = fam_bits.bit_count()
             if pc > best:
                 best, best_bits = pc, fam_bits
     witness = SetFamily(n, tuple(masks[c] for c in range(m) if best_bits >> c & 1))

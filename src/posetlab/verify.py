@@ -77,16 +77,17 @@ def _random_family(rng, n, max_size):
     return SetFamily(n, tuple(rng.sample(range(1 << n), size)))
 
 
-def _random_poset(rng, max_elements=4):
+def _random_poset(rng, max_elements=4, built=None):
+    """A poset on e0..e(k-1) from forward pairs, each drawn with chance 0.4.
+    built, if given, maps each draw (k, pairs) to its poset, built once."""
     k = rng.randint(1, max_elements)
     labels = [f"e{i}" for i in range(k)]
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-        if rng.random() < 0.4
-    ]
-    return poset_from_covers(labels, pairs)
+    pairs = tuple((labels[i], labels[j]) for i in range(k) for j in range(i + 1, k)
+                  if rng.random() < 0.4)
+    built = {} if built is None else built
+    if (k, pairs) not in built:
+        built[k, pairs] = poset_from_covers(labels, pairs)
+    return built[k, pairs]
 
 
 def _random_dense_bigraph(rng, t):
@@ -344,11 +345,12 @@ def check_small_n_oracle():
 
 def check_copy_detector(triples, seed):
     rng = random.Random(seed)
+    built = {}  # at most 75 distinct draws: posets are immutable, so shared
     disagreements = 0
     tested = 0
     while tested < triples:
         fam = _random_family(rng, 4, 8)
-        poset = _random_poset(rng, 4)
+        poset = _random_poset(rng, 4, built)
         mode = rng.choice(("weak", "induced", "rank_preserving", "colored"))
         coloring = None
         if mode == "colored":

@@ -1,8 +1,10 @@
 from collections import Counter
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlab import embed
 from posetlab.embed import (
@@ -23,6 +25,7 @@ from posetlab.embed import (
 )
 from posetlab.errors import (
     AlreadyMember,
+    CycleError,
     ElementOutOfRange,
     EmbedFailed,
     InvalidColoring,
@@ -49,7 +52,7 @@ from posetlab.poset import (
     y_prime_poset,
 )
 from posetlab.search import SaturationResult, saturation_check, verify_free
-from strategies import families, random_family, random_graded_poset
+from strategies import dag_covers, families, random_family, random_graded_poset
 
 C2 = chain(2)
 Y12 = y_poset(1, 2)
@@ -174,8 +177,6 @@ def test_creates_copy_through_matches_filtered_find_copy(rng):
         through = creates_copy_through(fam, poset, mode, s, coloring)
         aug = SetFamily(fam.n, fam.members + (s,))
         brute = None
-        from itertools import combinations, permutations
-
         for combo in combinations(aug.members, len(poset.elements)):
             if s not in combo:
                 continue
@@ -248,6 +249,89 @@ def test_check_embedding_rejects_bad_witnesses():
     assert not check_embedding(C2, {"x1": 1, "x2": 1}, "weak", family=fam)
     assert not check_embedding(C2, {"x1": 1}, "weak", family=fam)
     assert not check_embedding(C2, {"x1": 1, "x2": 16}, "weak", family=fam)
+
+
+# ---------------------------------------------------------------------------
+# The reference matcher against the copy conditions read pair by pair.
+
+def _literal_copy(poset, masks, mode):
+    """masks (indexed like poset.elements) meet the mode's definition, read
+    pair by pair; the classes of both sized modes are the ranks."""
+    sized = mode in ("rank_preserving", "colored")
+    for i, j in permutations(range(len(masks)), 2):
+        below = poset.up[i] >> j & 1
+        inside = masks[i] & ~masks[j] == 0
+        if below and not inside or mode == "induced" and inside and not below:
+            return False
+        if sized and poset.ranks[i] == poset.ranks[j] and (
+                masks[i].bit_count() != masks[j].bit_count()):
+            return False
+    return True
+
+
+def _assert_oracle_is_literal(fam, poset, mode, head, literal):
+    """find_copy_bruteforce returns the first witness of the definition
+    (literal(masks) is its verdict), in combination-then-permutation order;
+    is_copy_image and check_embedding give its verdicts on the k-set head."""
+    if mode == "rank_preserving" and not poset.graded:
+        with pytest.raises(NotGraded):
+            find_copy_bruteforce(fam, poset, mode)
+        return
+    coloring = rank_coloring(poset) if mode == "colored" else None
+    k = len(poset.elements)
+    want = next((dict(zip(poset.elements, masks))
+                 for combo in combinations(fam.members, k) for masks in permutations(combo)
+                 if literal(masks)), None)
+    got = find_copy_bruteforce(fam, poset, mode, coloring)
+    assert (got and got.mapping) == want
+    if len(head) != k:
+        return
+    verdicts = [literal(masks) for masks in permutations(head)]
+    assert is_copy_image(head, poset, mode, coloring) == any(verdicts)
+    for masks, verdict in zip(permutations(head), verdicts):
+        mapping = dict(zip(poset.elements, masks))
+        assert check_embedding(poset, mapping, mode, coloring, fam) == verdict
+
+
+def _labeled_posets(k):
+    """Every poset on e0..e(k-1), one per order relation."""
+    found = {}
+    labels = [f"e{i}" for i in range(k)]
+    pairs = list(permutations(labels, 2))
+    for bits in range(1 << len(pairs)):
+        try:
+            p = poset_from_covers(labels, [q for b, q in enumerate(pairs) if bits >> b & 1])
+        except CycleError:
+            continue
+        found.setdefault(p.up, p)
+    return list(found.values())
+
+
+def test_oracle_is_the_literal_definition_on_every_small_case():
+    posets = [p for k in (1, 2, 3) for p in _labeled_posets(k)]
+    assert len(posets) == 1 + 3 + 19
+    fams = [SetFamily(3, tuple(m for m in range(8) if bits >> m & 1)) for bits in range(256)]
+    for poset in posets:
+        for mode in MODES:
+            # the verdict on every ordered k-tuple of distinct subsets of [3]
+            literal = {masks: _literal_copy(poset, masks, mode)
+                       for masks in permutations(range(8), len(poset))}
+            for fam in fams:
+                _assert_oracle_is_literal(fam, poset, mode, fam.members, literal.__getitem__)
+
+
+@given(dag_covers(max_elements=5), st.integers(3, 4), st.data())
+def test_oracle_is_the_literal_definition_on_random_draws(covers, n, data):
+    labels, pairs = covers
+    k = len(labels)
+    # the element order, hence the permutation order, varies too
+    poset = poset_from_covers(data.draw(st.permutations(labels)), pairs)
+    members = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=7,
+                                 unique=True))
+    fam = SetFamily(n, tuple(members))
+    for mode in MODES:
+        _assert_oracle_is_literal(fam, poset, mode, tuple(members[:k]),
+                                  lambda masks: _literal_copy(poset, masks, mode))
 
 
 # ---------------------------------------------------------------------------
