@@ -12,35 +12,26 @@ and the intersection of assigned upper images.  The size-constrained modes
 first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
-The order data of a poset (Hasse orders, chain room, height, rank
-classes) is cached on the Poset; a coloring's class table is built once
-per find_copy, creates_copy_through, saturation_check or search.
+The order data of a poset (Hasse orders, height, rank classes) is cached
+on the Poset; a coloring's class table is built once per find_copy,
+creates_copy_through, saturation_check or search.
 
-Chain room (unanchored matcher only).  Let b(e) and a(e) be the lengths
-of the longest chains strictly below and strictly above e: its rank in P
-and its rank in the dual of P.  Every mode maps x < y to phi(x) a proper
-subset of phi(y), so a chain of P maps to sets of strictly increasing
-sizes.  Let s_0 < ... < s_{k-1} be the sizes of the non-empty size
-classes of the family.  The b(e) chain elements below e take b(e)
-distinct sizes below |phi(e)|, hence |phi(e)| >= s_{b(e)}; likewise
-|phi(e)| <= s_{k-1-a(e)}.  A longest chain of P takes height(P) distinct
-sizes, so no copy exists when height(P) > k: find_copy returns None at
-once, after the mode's own errors.  In weak and induced mode, on families
-of at least _ROOM_MIN_SLICED members, each element scans only the members
-with sizes in [s_{b(e)}, s_{k-1-a(e)}], a contiguous slice of the
-canonical order.  Only members that lie in no copy are dropped, so the
-search meets the same first embedding.
+Height exit (unanchored matcher only).  Every mode maps x < y to phi(x) a
+proper subset of phi(y), so a chain of P maps to sets of strictly
+increasing sizes, and a longest chain of P takes height(P) distinct sizes.
+No copy exists when height(P) exceeds the number of set sizes of the
+family: find_copy returns None at once, after the mode's own errors.
 
 Interval route.  Once an element has placed comparable neighbours, its
 image must lie in the interval [lower, upper]: lower is the union of the
 images below it, upper the intersection of the images above it (the
 ground set [n] when none is placed).  On candidate lists of at least
 _INTERVAL_MIN sets, when the interval holds fewer points of the sizes the
-element may take (its class size, its chain-room window, or every size of
-the family) than 1 / _INTERVAL_COST per candidate, the matcher lists those
-points, size by size in ascending order, keeps the ones in the family's
-member set and scans only these.  They are exactly the candidates the scan
-would let through the interval test, in the same canonical order, so every
+element may take (its class size, or every size of the family) than
+1 / _INTERVAL_COST per candidate, the matcher lists those points, size by
+size in ascending order, keeps the ones in the family's member set and
+scans only these.  They are exactly the candidates the scan would let
+through the interval test, in the same canonical order, so every
 embedding, witness and counterexample is the one the scan finds.
 
 Every one-set test (the search, saturation_check, creates_copy_through)
@@ -79,10 +70,6 @@ from .poset import classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
 
-# Smaller families (every family over [4] has at most 16 members) scan all
-# members: there, slicing the chain-room windows costs more than it saves.
-_ROOM_MIN_SLICED = 17
-
 # The interval route: candidate lists shorter than _INTERVAL_MIN are always
 # scanned (every family over [6] has at most 64 members, so the searches up
 # to n = 6 keep the scan), longer ones are listed from the interval when it
@@ -107,49 +94,18 @@ class Embedding:
 
 def validate_coloring(poset, coloring):
     """Colorings must cover exactly the elements and keep every color class
-    an antichain."""
+    an antichain; returns the coloring's Poset.class_table, which makes the
+    antichain check while it relates the classes."""
     if coloring is None:
         raise InvalidColoring("a coloring is required")
     if set(coloring) != set(poset.elements):
         raise InvalidColoring("coloring domain must be exactly the poset elements")
-    n = len(poset.elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coloring[poset.elements[i]] == coloring[poset.elements[j]] and (
-                poset.up[i] >> j & 1 or poset.up[j] >> i & 1
-            ):
-                raise InvalidColoring(
-                    f"comparable elements {poset.elements[i]!r}, "
-                    f"{poset.elements[j]!r} share a color"
-                )
+    return poset.class_table([coloring[x] for x in poset.elements])
 
 
 def _check_mode(mode):
     if mode not in MODES:
         raise InvalidParam(f"unknown mode {mode!r}")
-
-
-def ensure_mode_applicable(poset, mode, coloring=None):
-    """Raise the mode's precondition errors (NotGraded, InvalidColoring)
-    without running any search."""
-    _class_setup(poset, mode, coloring)
-
-
-def _room_windows(members, by_size, poset):
-    """Per element index, the members it can take (one slice of the
-    canonically ordered members) and, in a second list, their set sizes;
-    (None, None) when no element is cut down (height at most 1) or the
-    family is small."""
-    if poset.height < 2 or len(members) < _ROOM_MIN_SLICED:
-        return None, None
-    sizes = sorted(by_size)
-    start = [0]
-    for s in sizes:
-        start.append(start[-1] + len(by_size[s]))
-    k = len(sizes)
-    room = poset.chain_room
-    windows = {(b, a): members[start[b]:start[k - a]] for b, a in set(room)}
-    return [windows[r] for r in room], [tuple(sizes[b:k - a]) for b, a in room]
 
 
 def _class_setup(poset, mode, coloring):
@@ -160,8 +116,7 @@ def _class_setup(poset, mode, coloring):
     if mode == "rank_preserving":
         return poset.rank_classes
     if mode == "colored":
-        validate_coloring(poset, coloring)
-        return poset.class_table([coloring[x] for x in poset.elements])
+        return validate_coloring(poset, coloring)
     return None
 
 
@@ -195,15 +150,18 @@ def _walk_interval(lower, free, picks, member_set):
                 yield m
 
 
-def _backtrack_images(cands, sizes, pool, poset, mode, forced):
+def _backtrack_images(size_of, pool, poset, mode, forced):
     """Search for an injective image assignment into the pool; returns
-    element-index -> mask dict or None.  cands is None (every element scans
-    the pool's members) or cands[e] element e's candidate list, in
-    canonical order; sizes is None (no interval route: the pool is short)
-    or sizes[e] the set sizes on element e's list.  forced is None or an
-    (element, mask) pair: that element is placed first, so its neighbours
-    are filtered against it at once."""
-    members = pool.members
+    element-index -> mask dict or None.  size_of is None (every element
+    scans the pool's members) or size_of[e] the set size assigned to
+    element e's class (e scans that size group); either list is in
+    canonical order.  forced is None or an (element, mask) pair: that
+    element is placed first, so its neighbours are filtered against it at
+    once."""
+    members, by_size = pool.members, pool.by_size
+    routable = len(members) >= _INTERVAL_MIN
+    if routable and size_of is None:
+        every_size = tuple(filter(by_size.get, sorted(by_size)))  # non-empty
     first, mask = forced or (0, None)
     order = poset.hasse_orders[first]
     n_el = len(order)
@@ -219,7 +177,7 @@ def _backtrack_images(cands, sizes, pool, poset, mode, forced):
         if k == n_el:
             return True
         e = order[k]
-        cand = members if cands is None else cands[e]
+        cand = members if size_of is None else by_size[size_of[e]]
         lower = 0
         upper = -1
         incomp = []
@@ -231,8 +189,9 @@ def _backtrack_images(cands, sizes, pool, poset, mode, forced):
                 upper &= mf
             elif induced:
                 incomp.append(mf)
-        if sizes and (lower or upper != -1):
-            cand = _interval_members(cand, sizes[e], lower, upper & pool.ground, pool.member_set)
+        if routable and (lower or upper != -1):
+            sizes = every_size if size_of is None else (size_of[e],)
+            cand = _interval_members(cand, sizes, lower, upper & pool.ground, pool.member_set)
         for s in cand:
             if s in used or lower & ~s or s & ~upper:
                 continue
@@ -252,28 +211,21 @@ def _backtrack_images(cands, sizes, pool, poset, mode, forced):
 def _find_embedding(pool, poset, mode, classes, forced=None):
     """First image assignment of the poset into the pool's members, or
     None.  classes is the mode's table from _class_setup.  Without a forced
-    set, the chain room rule first rules out posets higher than the number
-    of set sizes, then cuts each element's candidates in weak and induced
-    mode."""
-    members, by_size = pool.members, pool.by_size
-    if len(poset.elements) > len(members) or (forced is None and poset.height > len(by_size)):
+    set, the height exit first rules out posets higher than the number of
+    set sizes."""
+    if len(poset.elements) > len(pool.members) or (
+            forced is None and poset.height > len(pool.by_size)):
         return None
     if classes is not None:
         return _embed_by_class_sizes(pool, poset, mode, classes, forced)
-    cands, sizes = (None, None) if forced else _room_windows(members, by_size, poset)
-    if len(members) < _INTERVAL_MIN:
-        sizes = None
-    elif cands is None:
-        sizes = [tuple(filter(by_size.get, sorted(by_size)))] * len(poset.elements)  # non-empty
-    return _backtrack_images(cands, sizes, pool, poset, mode, forced)
+    return _backtrack_images(None, pool, poset, mode, forced)
 
 
 def _embed_by_class_sizes(pool, poset, mode, classes, forced):
     """_find_embedding in the size-constrained modes: give each class a
     set size, ascending, sizes strictly increasing from a class to every
     class above it, then backtrack on images within the sizes."""
-    members, by_size = pool.members, pool.by_size
-    routable = len(members) >= _INTERVAL_MIN
+    by_size = pool.by_size
     cls_of, below, above, class_count = classes
     k = len(class_count)
     sizes_avail = sorted(by_size)
@@ -285,9 +237,7 @@ def _embed_by_class_sizes(pool, poset, mode, classes, forced):
     def assign_classes(ci):
         nonlocal found
         if ci == k:
-            cands = [by_size[assign[c]] for c in cls_of]
-            sizes = [(assign[c],) for c in cls_of] if routable else None
-            found = _backtrack_images(cands, sizes, pool, poset, mode, forced)
+            found = _backtrack_images([assign[c] for c in cls_of], pool, poset, mode, forced)
             return
         # strictly above the sizes of the classes below, under those above
         lo = max([assign[cj] for cj in below[ci]], default=-1)

@@ -7,18 +7,18 @@ poset, by ``Poset.up``, from whatever pairs it holds: :func:`poset_from_covers`
 closes raw pairs with it, reads the cycle check and the transitive reduction
 off it and hands it on to the reduced poset; instances are immutable.
 Everything derived from the order (relation bitmasks, Hasse lists and
-orders, ranks, chain room, height, rank classes, permutation patterns) is a
-cached property, computed once per instance (a Hasse order once per start
-element, on its first lookup); no module keeps a table keyed by a poset.
+orders, ranks, height, rank classes, permutation patterns) is a cached
+property, computed once per instance; no module keeps a table keyed by a
+poset.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from .errors import CycleError, DuplicateLabel, InvalidParam, NotGraded
+from .errors import CycleError, DuplicateLabel, InvalidColoring, InvalidParam, NotGraded
 
 MAX_ELEMENTS = 64
 
@@ -98,20 +98,19 @@ class Poset:
 
     @cached_property
     def ranks(self):
-        """ranks[i]: length of the longest chain strictly below element i."""
-        return _longest_chains(self.cover_parents, self.down)
+        """ranks[i]: length of the longest chain strictly below element i.
+        Elements below i reach fewer elements down, so they are ranked first."""
+        parents, down = self.cover_parents, self.down
+        rank = [0] * len(parents)
+        for i in sorted(range(len(parents)), key=lambda i: down[i].bit_count()):
+            rank[i] = 1 + max((rank[j] for j in parents[i]), default=-1)
+        return tuple(rank)
 
     @cached_property
     def graded(self):
         """Every cover jumps exactly one rank."""
         idx, rank = self.index, self.ranks
         return all(rank[idx[b]] - rank[idx[a]] == 1 for a, b in self.covers)
-
-    @cached_property
-    def chain_room(self):
-        """chain_room[i]: the lengths of the longest chains strictly below
-        and strictly above element i, its ranks in the poset and its dual."""
-        return tuple(zip(self.ranks, _longest_chains(self.cover_children, self.up)))
 
     @cached_property
     def height(self):
@@ -122,18 +121,42 @@ class Poset:
     def hasse_orders(self):
         """hasse_orders[f]: DFS order over the Hasse graph from element f, so
         every element but the root of each component follows a neighbour;
-        each start's order is built on first use."""
-        return _HasseOrders(self.neighbours)
+        every start's order is built on the first lookup."""
+        n, neighbours = len(self.elements), self.neighbours
+        orders = []
+        for first in range(n):
+            order, seen = [], set()
+            for root in (first, *range(n)):
+                stack = [] if root in seen else [root]
+                seen.add(root)
+                while stack:
+                    i = stack.pop()
+                    order.append(i)
+                    fresh = [j for j in reversed(neighbours[i]) if j not in seen]
+                    seen.update(fresh)
+                    stack += fresh
+            orders.append(tuple(order))
+        return tuple(orders)
 
     def class_table(self, raw):
         """Class index per element for the labels raw (one per element); per
         class c, the classes of smaller index that hold an element strictly
-        below, and strictly above, an element of c; the class sizes."""
+        below, and strictly above, an element of c; the class sizes.
+        InvalidColoring when two comparable elements share a label: the
+        first such pair i < j is named."""
         ids = sorted(set(raw))
         cls_of = tuple(ids.index(c) for c in raw)
-        n = len(self.elements)
-        less = {(cls_of[i], cls_of[j]) for i in range(n) for j in range(n)
-                if i != j and self.up[i] >> j & 1}
+        less = set()
+        for i, j in combinations(range(len(self.elements)), 2):
+            if self.up[i] >> j & 1:
+                less.add((cls_of[i], cls_of[j]))
+            elif self.up[j] >> i & 1:
+                less.add((cls_of[j], cls_of[i]))
+            else:
+                continue
+            if cls_of[i] == cls_of[j]:
+                raise InvalidColoring(f"comparable elements {self.elements[i]!r}, "
+                                      f"{self.elements[j]!r} share a color")
         below = tuple(tuple(b for b in range(c) if (b, c) in less) for c in range(len(ids)))
         above = tuple(tuple(a for a in range(c) if (c, a) in less) for c in range(len(ids)))
         return cls_of, below, above, tuple(cls_of.count(c) for c in range(len(ids)))
@@ -169,29 +192,6 @@ class Poset:
     def le(self, a, b):
         """a <= b in the partial order (labels)."""
         return self.up[self.index[a]] >> self.index[b] & 1 == 1
-
-
-class _HasseOrders(dict):
-    """Start element -> its Hasse DFS order, filled in on first lookup."""
-
-    def __init__(self, neighbours):
-        super().__init__()
-        self.neighbours = neighbours
-
-    def __missing__(self, first):
-        n = len(self.neighbours)
-        order, seen = [], set()
-        for root in (first, *range(n)):
-            stack = [] if root in seen else [root]
-            seen.add(root)
-            while stack:
-                i = stack.pop()
-                order.append(i)
-                fresh = [j for j in reversed(self.neighbours[i]) if j not in seen]
-                seen.update(fresh)
-                stack += fresh
-        self[first] = order = tuple(order)
-        return order
 
 
 def poset_from_covers(elements, covers):
@@ -230,15 +230,6 @@ def poset_from_covers(elements, covers):
         if i != j and up[i] & down[j] == 1 << i | 1 << j)))
     vars(p).update(index=idx, up=up, down=down)  # the reduction has the same closure
     return p
-
-
-def _longest_chains(links, reach):
-    """Per element index, the edge count of the longest path along links
-    (cover parents or children); linked elements reach fewer elements."""
-    length = [0] * len(links)
-    for i in sorted(range(len(links)), key=lambda i: reach[i].bit_count()):
-        length[i] = 1 + max((length[j] for j in links[i]), default=-1)
-    return tuple(length)
 
 
 def dual(p):

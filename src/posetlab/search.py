@@ -32,7 +32,6 @@ from .embed import (
     _copy_through,
     _copy_tester,
     _Pool,
-    ensure_mode_applicable,
     find_copy,
 )
 # The check entry points live in embed; callers may still import them here.
@@ -285,7 +284,7 @@ def max_free_layers(poset, n, mode="weak", coloring=None):
     """Largest k such that the k middle layers of [n] avoid the poset in the
     given mode; 0 when even a single layer contains a copy.  Fewer layers
     than the height of the poset hold no copy, so the scan starts there."""
-    ensure_mode_applicable(poset, mode, coloring)
+    _class_setup(poset, mode, coloring)  # the mode's errors before any scan
     for h in range(max(1, height(poset)), n + 2):
         if find_copy(middle_layers(n, h), poset, mode, coloring) is not None:
             return h - 1

@@ -391,7 +391,9 @@ def check_copy_detector(triples, seed):
 
 
 def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED):
-    """Run the named suite; returns a JSON-ready report dict."""
+    """Run the named suite, "all" or "fast"; returns a JSON-ready report dict."""
+    if suite not in ("all", "fast"):
+        raise InvalidParam(f"unknown suite {suite!r}; known: all, fast")
     if max_n < 2:
         raise InvalidParam("verify needs max_n >= 2")
     fast = suite == "fast"

@@ -41,7 +41,6 @@ from posetlab.family import (
 )
 from posetlab.poset import (
     all_height2_tree_posets,
-    antichain,
     chain,
     complete_multilevel,
     height,
@@ -335,7 +334,7 @@ def test_oracle_is_the_literal_definition_on_random_draws(covers, n, data):
 
 
 # ---------------------------------------------------------------------------
-# Chain room: the height exit and the per-element size windows.
+# The height exit: no copy of a poset taller than the number of set sizes.
 
 ROOM_POSETS = (
     chain(1), chain(2), chain(3), chain(4),
@@ -343,10 +342,8 @@ ROOM_POSETS = (
 )
 
 
-def test_find_copy_matches_bruteforce_on_few_size_classes(rng, monkeypatch):
-    """Families with 1 to 3 size classes, so the height exit and the windows
-    both fire; slicing is forced on for these small families."""
-    monkeypatch.setattr(embed, "_ROOM_MIN_SLICED", 0)
+def test_find_copy_matches_bruteforce_on_few_size_classes(rng):
+    """Families with 1 to 3 size classes, so the height exit fires."""
     seen = Counter()
     for trial in range(800):
         n = rng.randint(3, 5)
@@ -483,21 +480,6 @@ def test_detect_checks_at_full_size_are_pinned(monkeypatch):
     assert find_copy(f23, y_prime_poset(1, 2), "weak").mapping == {
         "x1": 3103, "y1": 1055, "y2": 2079}
     assert walks["all"] > 0
-
-
-def test_room_windows_are_the_sizes_an_element_can_take():
-    def sizes_per_element(fam, poset):
-        windows, sizes = embed._room_windows(fam.members, fam.by_size, poset)
-        for window, on in zip(windows, sizes):
-            assert sorted({m.bit_count() for m in window}) == list(on)
-        return [list(on) for on in sizes]
-
-    fam = middle_layers(5, 3)  # sizes 2, 3, 4
-    assert sizes_per_element(fam, Y22) == [[2], [3], [4], [4]]  # x1, x2, y1, y2
-    assert sizes_per_element(fam, C2) == [[2, 3], [3, 4]]
-    assert embed._room_windows(fam.members, fam.by_size, antichain(3)) == (None, None)
-    small = SetFamily(4, tuple(full_layer(4, 1) + full_layer(4, 2)))
-    assert embed._room_windows(small.members, small.by_size, C2) == (None, None)
 
 
 THREE_CLASSES = SetFamily(5, tuple(full_layer(5, 1) + full_layer(5, 3) + full_layer(5, 4)))

@@ -1,11 +1,12 @@
 import json
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posetlab.errors import CycleError, DuplicateLabel, InvalidParam
+from posetlab.errors import CycleError, DuplicateLabel, InvalidColoring, InvalidParam, NotGraded
 from posetlab.poset import (
     all_height2_tree_posets,
     antichain,
@@ -265,8 +266,8 @@ def test_cached_order_data_matches_independent_routes(p):
     graded = all(below[p.index[b]] - below[p.index[a]] == 1 for a, b in p.covers)
     assert list(p.ranks) == below and p.graded == graded
     assert rank_coloring(p) == dict(zip(p.elements, below))
-    assert p.chain_room == tuple(zip(below, above)) == tuple(zip(below, dual(p).ranks))
-    assert p.height == height(p) == 1 + max(b + a for b, a in p.chain_room)
+    assert above == list(dual(p).ranks)
+    assert p.height == height(p) == 1 + max(b + a for b, a in zip(below, above))
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from((p.index[a], p.index[b]) for a, b in p.covers)
@@ -300,17 +301,10 @@ def eager_hasse_orders(p):
     return orders
 
 
-@given(posets(), st.randoms(use_true_random=False))
-def test_lazy_hasse_orders_match_eager_computation(p, rnd):
-    """Each start's order is built on first use, in any order of asking,
-    and equals the order an all-at-once computation gives."""
-    eager = eager_hasse_orders(p)
-    starts = list(range(len(p.elements)))
-    rnd.shuffle(starts)
-    for k, first in enumerate(starts):
-        assert p.hasse_orders[first] == eager[first]
-        assert p.hasse_orders[first] is p.hasse_orders[first]
-        assert sorted(p.hasse_orders) == sorted(starts[:k + 1])
+@given(posets())
+def test_lazy_hasse_orders_match_eager_computation(p):
+    """Every start's order equals the one a separate DFS pass gives."""
+    assert p.hasse_orders == tuple(eager_hasse_orders(p))
 
 
 @given(posets())
@@ -320,6 +314,28 @@ def test_rank_coloring_classes_are_antichains(p):
         for b in p.elements:
             if a != b and coloring[a] == coloring[b]:
                 assert not p.le(a, b)
+
+
+@given(posets(), st.data())
+def test_class_table_rejects_a_label_shared_by_comparable_elements(p, data):
+    """class_table names the first pair i < j of comparable elements that
+    share a label; the rank classes are antichains, so they never clash."""
+    n = len(p.elements)
+    raw = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    clash = next(((a, b) for a, b in combinations(p.elements, 2)
+                  if raw[p.index[a]] == raw[p.index[b]] and (p.le(a, b) or p.le(b, a))), None)
+    if clash is None:
+        p.class_table(raw)
+    else:
+        with pytest.raises(InvalidColoring) as exc:
+            p.class_table(raw)
+        assert str(exc.value) == f"comparable elements {clash[0]!r}, {clash[1]!r} share a color"
+    assert p.class_table(p.ranks)[0] == tuple(sorted(set(p.ranks)).index(r) for r in p.ranks)
+    if p.graded:
+        assert p.rank_classes == p.class_table(p.ranks)
+    else:
+        with pytest.raises(NotGraded):
+            p.rank_classes
 
 
 def test_is_isomorphic():
