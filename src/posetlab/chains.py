@@ -2,13 +2,14 @@
 
 Everything asserted is computed in exact integer or rational arithmetic;
 floats only appear in the tail-window diagnostic, which is never part of
-an identity.
+an identity.  The Lubell-type sums take one term per size group
+(SetFamily.by_size), and 2-chains are counted per size pair i < j.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import InvalidParam, TooLargeForEnumeration
 
@@ -18,37 +19,28 @@ ENUMERATION_MAX_N = 8
 def lubell_mass(fam):
     """Sum of 1/C(n, |F|) over the family, as an exact Fraction."""
     n = fam.n
-    total = Fraction(0)
-    for m in fam.members:
-        total += Fraction(1, math.comb(n, m.bit_count()))
-    return total
+    return sum((Fraction(len(g), math.comb(n, k)) for k, g in fam.by_size.items()), Fraction(0))
 
 
 def pair_count(fam):
     """Sum of |F|! (n-|F|)! over members: the number of (member, maximal
     chain) incidences."""
     n = fam.n
-    total = 0
-    for m in fam.members:
-        k = m.bit_count()
-        total += math.factorial(k) * math.factorial(n - k)
-    return total
+    return sum(len(g) * math.factorial(k) * math.factorial(n - k) for k, g in fam.by_size.items())
 
 
 def chain_weight_average(fam, via="formula"):
     """Average over all n! maximal chains of the chain weight
     sum(C(n,|F|) for F on the chain and in the family); equals |family|.
 
-    via="formula" evaluates the per-member incidence sum; via="enumeration"
+    via="formula" evaluates the incidence sum per size group; via="enumeration"
     walks every maximal chain (n <= 8) and is the independent route.
     """
     n = fam.n
     nfact = math.factorial(n)
     if via == "formula":
-        total = 0
-        for m in fam.members:
-            k = m.bit_count()
-            total += math.comb(n, k) * math.factorial(k) * math.factorial(n - k)
+        total = sum(len(g) * math.comb(n, k) * math.factorial(k) * math.factorial(n - k)
+                    for k, g in fam.by_size.items())
         return Fraction(total, nfact)
     if via == "enumeration":
         if n > ENUMERATION_MAX_N:
@@ -71,14 +63,10 @@ def chain_weight_average(fam, via="formula"):
 
 
 def count_2chains(fam):
-    """Number of pairs A strictly contained in B within the family."""
-    members = sorted(fam.members, key=int.bit_count)
-    total = 0
-    for bi, b in enumerate(members):
-        for a in members[:bi]:
-            if a != b and a & ~b == 0:
-                total += 1
-    return total
+    """Number of pairs A strictly contained in B within the family.  Two
+    distinct sets of one size are never nested, so the count is the sum of
+    count_2chains_between over the size pairs i < j."""
+    return sum(count_2chains_between(fam, i, j) for i, j in combinations(sorted(fam.by_size), 2))
 
 
 def count_2chains_between(fam, i, j):
@@ -97,10 +85,7 @@ def kleitman_lower_bound(m, n):
     The expression can be a half-integer for odd n; since it bounds an
     integer count from below, the ceiling is still a valid bound.
     """
-    value = Fraction((m - math.comb(n, n // 2)) * n, 2)
-    if value <= 0:
-        return 0
-    return -((-value.numerator) // value.denominator)
+    return max(0, -(-(m - math.comb(n, n // 2)) * n // 2))
 
 
 def tail_count(n, log_base=math.e):

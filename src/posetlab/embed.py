@@ -128,9 +128,7 @@ def _interval_members(cand, sizes, lower, upper, member_set):
     to be scanned."""
     if len(cand) < _INTERVAL_MIN:
         return cand
-    if lower & ~upper:
-        return ()
-    free = upper & ~lower
+    free = upper & ~lower  # lower within upper: each placed f < g has image(f) within image(g)
     f, base = free.bit_count(), lower.bit_count()
     picks = [k - base for k in sizes if base <= k <= base + f]
     if sum([comb(f, r) for r in picks]) * _INTERVAL_COST >= len(cand):

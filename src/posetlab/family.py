@@ -3,13 +3,13 @@
 Members are bitmasks (bit i-1 set iff element i is in the set), the ground
 set is capped at n = 24, and the member order is always canonical:
 ascending by (popcount, numeric value).  That fixes iteration order
-everywhere and makes serialized output bit-exact.
+everywhere and makes serialized output bit-exact.  Every construction
+walks the layers it uses once each, by Gosper's step (_layer).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
@@ -28,18 +28,26 @@ def canonical_key(mask):
     return (mask.bit_count(), mask)
 
 
-def canonical_masks(n):
-    """Every mask over [n] in canonical order, one size class at a time in
-    numeric order (Gosper's hack), without a list of all 2^n masks."""
-    yield 0
+def _layer(n, k):
+    """The k-subsets of [n] as masks in numeric order, by Gosper's step
+    from each one to the next larger mask of the same popcount."""
+    if k == 0:
+        yield 0
+        return
     limit = 1 << n
-    for k in range(1, n + 1):
-        m = (1 << k) - 1
-        while m < limit:
-            yield m
-            low = m & -m
-            ripple = m + low
-            m = ripple | ((m ^ ripple) >> 2) // low
+    m = (1 << k) - 1
+    while m < limit:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> 2) // low
+
+
+def canonical_masks(n):
+    """Every mask over [n] in canonical order: layers 0..n in turn, each
+    walked once by Gosper's step, without a list of all 2^n masks."""
+    for k in range(n + 1):
+        yield from _layer(n, k)
 
 
 def mask_of(elements):
@@ -117,33 +125,32 @@ def full_layer(n, k):
     _check_ground(n)
     if not 0 <= k <= n:
         raise InvalidParam(f"layer index {k} outside 0..{n}")
-    return sorted(mask_of(c) for c in combinations(range(1, n + 1), k))
+    return list(_layer(n, k))
+
+
+def _middle_sizes(n, h):
+    """The sizes of the h middle layers of [n]."""
+    if not 1 <= h <= n + 1:
+        raise InvalidParam("need 1 <= h <= n+1")
+    base = (n - h) // 2
+    return range(base + 1, base + h + 1)
 
 
 def sigma(n, h):
     """Total size of the h middle layers of the Boolean lattice of order n."""
-    if not 1 <= h <= n + 1:
-        raise InvalidParam("need 1 <= h <= n+1")
-    base = (n - h) // 2
-    return sum(comb(n, base + i) for i in range(1, h + 1))
+    return sum(comb(n, k) for k in _middle_sizes(n, h))
 
 
 def middle_layers(n, h):
     """Union of the h middle layers; |result| = sigma(n, h)."""
-    if not 1 <= h <= n + 1:
-        raise InvalidParam("need 1 <= h <= n+1")
-    base = (n - h) // 2
-    members = []
-    for i in range(1, h + 1):
-        members += full_layer(n, base + i)
-    return SetFamily(n, tuple(members))
+    return SetFamily(n, tuple(m for k in _middle_sizes(n, h) for m in full_layer(n, k)))
 
 
 def f23_construction(n):
     """Half-sized sets avoiding {n-1, n} plus (n/2+1)-sets containing both.
 
-    Built by direct enumeration of the two membership conditions; n must be
-    even and at least 4.  Strictly larger than the middle layer.
+    Built by filtering those two layers on the membership conditions; n
+    must be even and at least 4.  Strictly larger than the middle layer.
     """
     _check_ground(n)
     if n % 2 == 1:
@@ -152,13 +159,8 @@ def f23_construction(n):
         raise InvalidParam("construction needs n >= 4")
     half = n // 2
     pins = mask_of([n - 1, n])
-    members = []
-    for m in range(1 << n):
-        pc = m.bit_count()
-        if pc == half + 1 and m & pins == pins:
-            members.append(m)
-        elif pc == half and (m & pins).bit_count() <= 1:
-            members.append(m)
+    members = [m for m in _layer(n, half) if m & pins != pins]
+    members += [m for m in _layer(n, half + 1) if m & pins == pins]
     return SetFamily(n, tuple(members))
 
 
@@ -180,10 +182,8 @@ def lubell_tail_family(n, h):
         raise InvalidParam("tail family needs h >= 3")
     if n < 2 * h:
         raise InvalidParam("tail family needs n >= 2h")
-    members = []
-    for k in list(range(0, h - 1)) + list(range(n - h + 2, n + 1)):
-        members += full_layer(n, k)
-    return SetFamily(n, tuple(members))
+    sizes = [*range(h - 1), *range(n - h + 2, n + 1)]
+    return SetFamily(n, tuple(m for k in sizes for m in full_layer(n, k)))
 
 
 # ---------------------------------------------------------------------------

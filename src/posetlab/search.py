@@ -127,11 +127,9 @@ class _Searcher:
                 self.exact = False
                 return
             required = self.best_size + 1
-            if len(inc) + (total - i) < required:
+            if len(inc) + (total - i) < required:  # len(inc) <= best_size: also ends i == total
                 continue
             if self.cap and self.h_tops and len(inc) + self._capped_remaining(i) < required:
-                continue
-            if i == total:
                 continue
             todo.append((i + 1, len(inc)))  # exclude branch, after the include subtree
             s = self.candidates[i]
@@ -169,13 +167,11 @@ class _Searcher:
         _, s_param = self.cap
         best = base
         for t in self.h_tops:
-            rem_lv = {}
+            rem_lv = {}  # never empty: [n] is above t and, as the last candidate, undecided
             for lv, idx in self._supersets(t).items():
                 cnt = len(idx) - bisect_left(idx, i)
                 if cnt:
                     rem_lv[lv] = cnt
-            if not rem_lv:
-                continue
             inc_lv = {}
             for a in self.pool.members:
                 if t & ~a == 0 and a != t:

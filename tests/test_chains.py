@@ -82,13 +82,18 @@ def test_count_2chains_between_requires_i_lt_j():
 
 
 @given(families(max_n=6, max_size=30))
-def test_count_2chains_splits_over_size_pairs(fam):
-    total = sum(
-        count_2chains_between(fam, i, j)
-        for i in range(fam.n + 1)
-        for j in range(i + 1, fam.n + 1)
-    )
-    assert total == count_2chains(fam)
+def test_count_2chains_matches_all_pairs_loop(fam):
+    nested = sum(1 for a in fam for b in fam if a != b and a & ~b == 0)
+    assert count_2chains(fam) == nested
+
+
+@given(families(max_n=8, max_size=40))
+def test_lubell_sums_match_per_member_sums(fam):
+    n = fam.n
+    assert lubell_mass(fam) == sum(
+        (Fraction(1, math.comb(n, bin(m).count("1"))) for m in fam), Fraction(0))
+    assert pair_count(fam) == sum(
+        math.factorial(bin(m).count("1")) * math.factorial(n - bin(m).count("1")) for m in fam)
 
 
 def test_kleitman_examples():
@@ -97,6 +102,13 @@ def test_kleitman_examples():
     # (11 - 10) * 5/2 = 2.5; an integer count at least 2.5 is at least 3
     assert kleitman_lower_bound(11, 5) == 3
     assert kleitman_lower_bound(0, 6) == 0
+
+
+def test_kleitman_matches_the_fraction_ceiling():
+    for n in range(1, 25):
+        for m in range(201):
+            value = Fraction((m - math.comb(n, n // 2)) * n, 2)
+            assert kleitman_lower_bound(m, n) == max(0, math.ceil(value))
 
 
 def _max_family_with_few_2chains(n, max_chains):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from posetlab.cli import UsageError, parse_poset_spec, run
-from posetlab.family import parse_family, serialize_family, middle_layers
+from posetlab.family import lubell_tail_family, middle_layers, parse_family, serialize_family
 from posetlab.poset import _GENERATORS, chain, gen_named, t_r3_poset, y_poset, y_prime_poset
 
 
@@ -48,6 +48,25 @@ def test_family_stats(tmp_path, capsys):
     assert code == 0
     stats = json.loads(out)
     assert stats == {"n": 4, "size": 10, "profile": [0, 0, 6, 4, 0]}
+
+
+def test_family_gen_lubell_tail(tmp_path, capsys):
+    path = tmp_path / "tail.txt"
+    code, out, _ = run_cli(capsys, "family", "gen", "--kind", "lubell_tail", "--n", "8",
+                           "--h", "3", "--out", str(path))
+    assert (code, out) == (0, "")
+    fam = parse_family(path.read_text())
+    assert len(fam) == 18
+    assert fam == lubell_tail_family(8, 3)
+
+
+def test_family_stats_csv_flattens_the_profile(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text(serialize_family(middle_layers(4, 2)))
+    code, out, _ = run_cli(capsys, "family", "stats", "--file", str(path), "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,4", "size,10", "profile.0,0", "profile.1,0", "profile.2,6",
+                                "profile.3,4", "profile.4,0"]
 
 
 def test_check_free_f23(tmp_path, capsys):
@@ -275,6 +294,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("poset", "show", "--named", "named:y(2,2"),
         ("poset", "show", "--named", "named:y(2,,2)"),
         ("poset", "gen", "--kind", "zigzag", "--params", "1"),
+        ("family", "gen", "--kind", "lubell_tail", "--n", "8"),
+        ("family", "gen", "--kind", "middle", "--n", "4"),
+        ("poset", "show"),
+        ("check", "free", "--family", "{tmp}/fam.txt", "--forbid", "named:chain(2)",
+         "--mode", "colored"),
     ],
     ids=["show-missing-file", "gen-bad-params", "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
@@ -284,7 +308,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "check-saturated-empty-poset", "search-empty-poset", "family-superscript-digit",
          "family-superscript-n", "family-arabic-indic-digit", "named-arabic-indic-digit",
          "params-arabic-indic-digit", "params-underscore", "params-plus-sign",
-         "named-unclosed", "named-empty-param", "gen-unknown-kind"],
+         "named-unclosed", "named-empty-param", "gen-unknown-kind", "tail-without-h",
+         "middle-without-h", "show-without-source", "check-colored-mode"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))

@@ -292,6 +292,13 @@ def _assert_oracle_is_literal(fam, poset, mode, head, literal):
         assert check_embedding(poset, mapping, mode, coloring, fam) == verdict
 
 
+def test_is_copy_image_needs_one_distinct_mask_per_element():
+    assert is_copy_image((0b001, 0b011, 0b101), Y12)
+    assert not is_copy_image((0b001, 0b011), Y12)
+    assert not is_copy_image((0b001, 0b011, 0b101, 0b111), Y12)
+    assert not is_copy_image((0b001, 0b011, 0b011), Y12)
+
+
 def _labeled_posets(k):
     """Every poset on e0..e(k-1), one per order relation."""
     found = {}

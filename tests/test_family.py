@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -136,6 +137,10 @@ def test_lubell_tail_family():
 def test_full_layer():
     assert full_layer(4, 0) == [0]
     assert len(full_layer(5, 2)) == 10
+    for n in range(1, 11):
+        for k in range(n + 1):
+            assert full_layer(n, k) == sorted(
+                mask_of(c) for c in combinations(range(1, n + 1), k))
 
 
 def test_constructions_reject_large_n_before_enumerating():

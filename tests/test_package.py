@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import posetlab
+from posetlab import chains, embed, family, poset
+from posetlab.errors import InvalidParam, OddN
 from posetlab.family import middle_layers, serialize_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,3 +95,33 @@ def test_verify_paper_default_seed(capsys):
 
     assert run(["verify", "paper", "--suite", "fast", "--max-n", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 20240801
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: poset.antichain(0), InvalidParam, "k >= 1"),
+        (lambda: poset.y_poset(0, 1), InvalidParam, "h, s >= 1"),
+        (lambda: poset.t_r3_poset(1), InvalidParam, "r >= 2"),
+        (lambda: poset.t_r3_poset(2, "x"), InvalidParam, "reading 'x'"),
+        (lambda: poset.complete_multilevel([]), InvalidParam, "positive"),
+        (lambda: poset.poset_from_covers([f"e{i}" for i in range(65)], []), InvalidParam,
+         "at most 64"),
+        (lambda: poset.all_height2_tree_posets(1), InvalidParam, "at least 2"),
+        (lambda: family.full_layer(4, 5), InvalidParam, "outside 0..4"),
+        (lambda: family.middle_layers(4, 0), InvalidParam, "1 <= h"),
+        (lambda: family.f23_construction(2), InvalidParam, "n >= 4"),
+        (lambda: family.f23_formula_size(5), OddN, "even n"),
+        (lambda: chains.tail_count(16, log_base=1), InvalidParam, "log base"),
+        (lambda: embed.InclusionBigraph((0b111,), (0b1,)), InvalidParam, "strictly smaller"),
+        (lambda: embed.min_degree_subgraph(embed.InclusionBigraph((0b1,), (0b11,)), 0),
+         InvalidParam, "d >= 1"),
+    ],
+    ids=["antichain-0", "y-h-0", "t3-r-1", "t3-reading", "multilevel-empty",
+         "covers-65-labels", "height2-trees-1", "full-layer-k", "middle-h-0", "f23-n-2",
+         "f23-formula-odd", "tail-log-base-1", "bigraph-sizes", "min-degree-0"],
+)
+def test_out_of_range_arguments_raise_typed_errors(build, error, message):
+    with pytest.raises(error, match=message) as err:
+        build()
+    assert type(err.value) is error

@@ -345,6 +345,44 @@ def test_is_isomorphic():
     assert is_isomorphic(dual(dual(t_r3_poset(2))), t_r3_poset(2))
 
 
+def _hasse_digraph(p):
+    g = nx.DiGraph()
+    g.add_nodes_from(p.elements)
+    g.add_edges_from(p.covers)
+    return g
+
+
+@given(dag_covers(max_elements=7), st.randoms(use_true_random=False))
+def test_is_isomorphic_matches_networkx(drawn, rnd):
+    """Against networkx on the Hasse digraphs: a random poset, a relabelled
+    copy (so the images must be searched for) and a copy with one cover
+    moved to another forward pair."""
+    labels, pairs = drawn
+    p = poset_from_covers(labels, pairs)
+    rename = dict(zip(labels, rnd.sample(labels, len(labels))))
+    relabelled = poset_from_covers(labels, [(rename[a], rename[b]) for a, b in p.covers])
+    others = [relabelled]
+    forward = [(a, b) for a, b in combinations(labels, 2) if (a, b) not in p.covers]
+    if p.covers and forward:
+        moved = list(p.covers)
+        moved[rnd.randrange(len(moved))] = rnd.choice(forward)
+        others.append(poset_from_covers(labels, moved))
+    for q in others:
+        expected = nx.is_isomorphic(_hasse_digraph(p), _hasse_digraph(q))
+        assert is_isomorphic(p, q) == is_isomorphic(q, p) == expected
+
+
+def test_is_isomorphic_backtracks_past_a_failed_image():
+    # the search first maps p's e0, e1, e2 to q's e0, e1, e2 and fails at e3;
+    # it succeeds only once q's e1 is freed again for p's e2
+    p = poset_from_covers([f"e{i}" for i in range(6)],
+                          [("e0", "e5"), ("e1", "e5"), ("e2", "e3")])
+    q = poset_from_covers([f"e{i}" for i in range(6)],
+                          [("e0", "e3"), ("e1", "e4"), ("e2", "e3")])
+    assert is_isomorphic(p, q)
+    assert is_isomorphic(q, p)
+
+
 def test_height2_tree_catalogue_counts():
     # unlabeled trees on t vertices, each contributing its two orientations
     # minus self-dual coincidences
