@@ -51,7 +51,10 @@ def _ints(text, what):
     tokens = [t.strip() for t in text.split(",")] if text else []
     if not all(t.isascii() and t.isdigit() for t in tokens):
         raise UsageError(f"{what}: expected comma-separated numbers of digits 0-9, got {text!r}")
-    return [int(t) for t in tokens]
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:  # past the interpreter's integer string limit
+        raise UsageError(f"{what}: {max(map(len, tokens))}-digit number is too long") from exc
 
 
 def _load_family(path, expected_n=None):

@@ -46,6 +46,13 @@ canonical order through _copy_through, with no family built per probe.
 `check free` and `check saturated` need only this module, family and
 poset; search re-exports the three names for older callers.
 
+Two more callers use the same parts.  poset.is_isomorphic runs
+_backtrack_images, sizes pinned, on a _Pool of principal down-sets: an
+induced copy of one poset among the down-sets of another as large is an
+isomorphism.  greedy_tree_embed places a tree's elements in
+Poset.hasse_orders[0], the walk the matcher takes from element 0, so
+every parent comes first.
+
 Tie-breaking is fixed: candidate images in canonical family order, class
 sizes ascending, so the returned witness is deterministic.  It is the
 first embedding found, not a canonical minimum.
@@ -556,33 +563,29 @@ def greedy_tree_embed(graph, tree):
     """Greedily embed a height-2 tree poset: minimal elements onto left
     vertices, maximal onto right, Hasse edges onto inclusion edges.
 
-    Succeeds whenever the graph has minimum degree >= |tree| - 1; with less
+    Elements are placed in the walk tree.hasse_orders[0]; in a tree it
+    places exactly one neighbour before each element but the first, its
+    parent, and the element takes the first free vertex adjacent to the
+    parent's.  Succeeds whenever the graph has minimum degree >= |tree| - 1:
+    the parent lies on the other side, so at most |tree| - 2 vertices of
+    the element's side are taken and one of the parent's neighbours is
+    free; any walk that places parents first would do.  Below that degree
     it may raise EmbedFailed even though an embedding exists.
     """
     if classify_tree(tree) == "not_tree" or tree.height != 2:
         raise InvalidParam("need a height-2 tree poset")
     ranks = tree.ranks
-    parent = {0: None}
-    order = [0]
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for j in tree.neighbours[i]:
-            if j not in parent:
-                parent[j] = i
-                order.append(j)
-                queue.append(j)
     sides = (graph.left, graph.right)
     adj_from = (graph.left_adj, graph.right_adj)
     used = (set(), set())
     slot = {}
-    for e in order:
+    for e in tree.hasse_orders[0]:
         side = ranks[e]
-        if parent[e] is None:
+        parent = next((p for p in tree.neighbours[e] if p in slot), None)
+        if parent is None:
             pool = range(len(sides[side]))
         else:
-            p = parent[e]
-            pool = adj_from[1 - side][slot[p]]
+            pool = adj_from[1 - side][slot[parent]]
         choice = next((v for v in pool if v not in used[side]), None)
         if choice is None:
             raise EmbedFailed(tree.elements[e])

@@ -21,24 +21,23 @@ class OddN(InvalidParam):
     """The two-pinned-points construction needs an even ground set."""
 
 
-class ParseError(PosetlabError):
+class _LineError(PosetlabError):
+    """An input error that may name its 1-based line: the message then
+    starts with "line N: "."""
+
+    def __init__(self, message, lineno=None):
+        if lineno is not None:
+            message = f"line {lineno}: {message}"
+        super().__init__(message)
+        self.lineno = lineno
+
+
+class ParseError(_LineError):
     """Malformed family file; carries the offending 1-based line number."""
 
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
 
-
-class ElementOutOfRange(PosetlabError):
+class ElementOutOfRange(_LineError):
     """A set element (or bitmask) lies outside the ground set [n]."""
-
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
 
 
 class NotGraded(PosetlabError):

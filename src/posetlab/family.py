@@ -190,9 +190,16 @@ def lubell_tail_family(n, h):
 # File format: first line "n=<int>", then one member per line as a
 # comma-separated ascending element list; "-" denotes the empty set.
 
-def _is_decimal(tok):
-    """ASCII digits only: str.isdigit also accepts '²' and '٣'."""
-    return tok.isascii() and tok.isdigit()
+def _decimal(tok, lineno):
+    """tok as an int, or None unless it is ASCII digits only (str.isdigit
+    also accepts '²' and '٣'); ParseError on the line when it has more
+    digits than int() reads."""
+    if not (tok.isascii() and tok.isdigit()):
+        return None
+    try:
+        return int(tok)
+    except ValueError as exc:  # past the interpreter's integer string limit
+        raise ParseError(f"{len(tok)}-digit number is too long", lineno) from exc
 
 
 def parse_family(text):
@@ -200,9 +207,9 @@ def parse_family(text):
     if not lines:
         raise ParseError("empty input, expected a n=<int> header", 1)
     header = lines[0].strip()
-    if not header.startswith("n=") or not _is_decimal(header[2:].strip()):
+    n = _decimal(header[2:].strip(), 1) if header.startswith("n=") else None
+    if n is None:
         raise ParseError(f"expected n=<int> header, got {header!r}", 1)
-    n = int(header[2:])
     _check_ground(n)
     members = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -214,10 +221,10 @@ def parse_family(text):
             continue
         elems = []
         for tok in line.split(","):
-            tok = tok.strip()
-            if not _is_decimal(tok):
-                raise ParseError(f"bad element {tok!r}", lineno)
-            elems.append(int(tok))
+            e = _decimal(tok.strip(), lineno)
+            if e is None:
+                raise ParseError(f"bad element {tok.strip()!r}", lineno)
+            elems.append(e)
         for e in elems:
             if not 1 <= e <= n:
                 raise ElementOutOfRange(f"element {e} outside [1..{n}]", lineno)

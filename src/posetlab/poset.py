@@ -389,49 +389,32 @@ def gen_named(kind, params, t3_reading="degree"):
 # Isomorphism and small catalogues.
 
 def is_isomorphic(p, q):
-    """Order-isomorphism test by backtracking; fine for the small posets here."""
-    n = len(p.elements)
-    if n != len(q.elements) or len(p.covers) != len(q.covers):
+    """Order-isomorphism test: is p an induced copy among the principal
+    down-sets of q?  x <= y in q iff down(x) is a subset of down(y), so
+    q.down is q written as a family of distinct sets, and an induced copy
+    of p that uses all of them is an isomorphism.
+
+    embed's matcher searches for the copy with each element of p pinned to
+    the down-sets of its own down-set size, which an isomorphism keeps;
+    unpinned, a chain whose element 0 sits mid-way backtracks exponentially.
+    Before it come exits on the element count, the cover count and the
+    sorted (down-set size, up-set size) per element; the last also makes
+    every pinned size one that q has."""
+    def signature(r):
+        return sorted(zip(map(int.bit_count, r.down), map(int.bit_count, r.up)))
+
+    if len(p) != len(q) or len(p.covers) != len(q.covers) or signature(p) != signature(q):
         return False
+    if not p.elements:  # no Hasse walk to start
+        return True
+    from .embed import _backtrack_images, _Pool  # embed imports this module
+    from .family import canonical_key
 
-    def sig(poset, i):
-        return (
-            poset.down[i].bit_count(),
-            poset.up[i].bit_count(),
-            len(poset.cover_parents[i]),
-            len(poset.cover_children[i]),
-        )
-
-    psig = [sig(p, i) for i in range(n)]
-    qsig = [sig(q, i) for i in range(n)]
-    if sorted(psig) != sorted(qsig):
-        return False
-    cands = [[j for j in range(n) if qsig[j] == psig[i]] for i in range(n)]
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if (p.up[i] >> k & 1) != (q.up[j] >> image[k] & 1) or (
-                    p.up[k] >> i & 1
-                ) != (q.up[image[k]] >> j & 1):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return extend(0)
+    pool = _Pool(len(q), [], {}, set())
+    for mask in sorted(q.down, key=canonical_key):
+        pool.push(mask)
+    size_of = [d.bit_count() for d in p.down]
+    return _backtrack_images(size_of, pool, p, "induced", None) is not None
 
 
 def _labeled_trees(t):
@@ -480,7 +463,7 @@ def all_height2_tree_posets(t):
                 lo, hi = (u, v) if depth[u] % 2 == bottom_parity else (v, u)
                 covers.append((labels[lo], labels[hi]))
             cand = poset_from_covers(labels, covers)
-            if not any(is_isomorphic(cand, seen) for seen in found):
+            if not any(is_isomorphic(seen, cand) for seen in found):
                 found.append(cand)
     return found
 
@@ -505,7 +488,7 @@ def poset_from_json(text):
     try:
         obj = json.loads(text)
         elements, covers = obj["elements"], obj["covers"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise InvalidParam(f"malformed poset JSON: {exc}") from exc
     if not (_is_labels(elements) and isinstance(covers, list)
             and all(_is_labels(c) and len(c) == 2 for c in covers)):

@@ -299,6 +299,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("poset", "show"),
         ("check", "free", "--family", "{tmp}/fam.txt", "--forbid", "named:chain(2)",
          "--mode", "colored"),
+        ("poset", "gen", "--kind", "chain", "--params", "9" * 5000),
+        ("poset", "show", "--named", f"named:chain({'9' * 5000})"),
+        ("family", "stats", "--file", "{tmp}/long-n.txt"),
+        ("family", "stats", "--file", "{tmp}/long-element.txt"),
+        ("poset", "show", "--file", "{tmp}/deep.json"),
+        ("check", "free", "--family", "{tmp}/fam.txt", "--forbid", "{tmp}/deep.json"),
     ],
     ids=["show-missing-file", "gen-bad-params", "budget-negative", "family-n-too-large", "poset-out-unwritable",
          "family-out-unwritable", "witness-out-unwritable", "family-not-utf8",
@@ -309,7 +315,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "family-superscript-n", "family-arabic-indic-digit", "named-arabic-indic-digit",
          "params-arabic-indic-digit", "params-underscore", "params-plus-sign",
          "named-unclosed", "named-empty-param", "gen-unknown-kind", "tail-without-h",
-         "middle-without-h", "show-without-source", "check-colored-mode"],
+         "middle-without-h", "show-without-source", "check-colored-mode",
+         "params-over-long-number", "named-over-long-number", "family-over-long-n",
+         "family-over-long-element", "poset-deeply-nested-json", "forbid-deeply-nested-json"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "latin1.txt").write_bytes("n=2\n1\n# caf\u00e9\n".encode("latin-1"))
@@ -322,6 +330,10 @@ def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     (tmp_path / "superscript.txt").write_text("n=3\n1,\u00b2\n", encoding="utf-8")
     (tmp_path / "superscript-n.txt").write_text("n=\u00b2\n1\n", encoding="utf-8")
     (tmp_path / "arabic-indic.txt").write_text("n=3\n1,\u0663\n", encoding="utf-8")
+    # more digits than int() reads from a string, and nesting past the recursion limit
+    (tmp_path / "long-n.txt").write_text("n=" + "9" * 5000 + "\n1\n")
+    (tmp_path / "long-element.txt").write_text("n=3\n" + "9" * 5000 + "\n")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""

@@ -641,6 +641,19 @@ def test_greedy_embed_min_degree_guarantee(rng):
             assert masks <= set(core.left) | set(core.right)
 
 
+def test_greedy_embed_every_six_element_tree_into_a_5_core(rng):
+    # the parent-first walk needs minimum degree >= t - 1 = 5 for t = 6
+    trees = all_height2_tree_posets(6)
+    for _ in range(10):
+        left = [m for m in full_layer(8, 2) if rng.random() < 0.8]
+        right = [m for m in full_layer(8, 5) if rng.random() < 0.8]
+        core = min_degree_subgraph(InclusionBigraph(tuple(left), tuple(right)), 5)
+        assert core.vertex_count > 0
+        for tree in trees:
+            emb = greedy_tree_embed(core, tree)
+            assert check_embedding(tree, emb.mapping, "rank_preserving")
+
+
 def test_dual_poset_copy_symmetry(rng):
     # F contains a weak copy of P iff the complement family contains dual(P)
     from posetlab.poset import dual

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
-from posetlab.errors import ElementOutOfRange, InvalidParam, OddN, ParseError
+from posetlab.errors import ElementOutOfRange, InvalidParam, OddN, ParseError, PosetlabError
 from posetlab.family import (
     SetFamily,
     canonical_key,
@@ -174,6 +174,21 @@ def test_parse_family_errors():
         parse_family("n=3\n1,,2\n")
     with pytest.raises(ParseError):
         parse_family("")
+    # 5000 digits is past int()'s string limit: a ParseError on the line, not a ValueError
+    for text, lineno in (("n=" + "9" * 5000 + "\n1\n", 1), ("n=3\n1\n" + "9" * 5000 + "\n", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_family(text)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"line {lineno}: 5000-digit number is too long"
+
+
+def test_line_errors_share_only_the_line_prefix():
+    for cls in (ParseError, ElementOutOfRange):
+        assert issubclass(cls, PosetlabError)
+        assert str(cls("bad", 4)) == "line 4: bad" and cls("bad", 4).lineno == 4
+        assert str(cls("bad")) == "bad" and cls("bad").lineno is None
+    assert not issubclass(ParseError, ElementOutOfRange)
+    assert not issubclass(ElementOutOfRange, ParseError)
 
 
 def test_serialize_canonical():

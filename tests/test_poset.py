@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from posetlab.errors import CycleError, DuplicateLabel, InvalidColoring, InvalidParam, NotGraded
 from posetlab.poset import (
+    Poset,
     all_height2_tree_posets,
     antichain,
     chain,
@@ -343,6 +345,37 @@ def test_is_isomorphic():
     assert is_isomorphic(relabeled, y_poset(1, 2))
     assert not is_isomorphic(y_poset(1, 2), y_prime_poset(1, 2))
     assert is_isomorphic(dual(dual(t_r3_poset(2))), t_r3_poset(2))
+    assert is_isomorphic(Poset((), ()), Poset((), ()))
+
+
+def test_is_isomorphic_above_the_family_cap():
+    """Up to 64 elements: the down-sets of q are masks over 64 bits, beyond
+    the 24-point ground set a SetFamily allows.  The relabelled chain's
+    element 0 sits mid-chain, where an unpinned search backtracks
+    exponentially."""
+    labels = [f"x{i}" for i in range(1, 65)]
+    shuffled = random.Random(3).sample(labels, 64)
+    relabelled = poset_from_covers(labels, list(zip(shuffled, shuffled[1:])))
+    assert is_isomorphic(chain(64), relabelled)
+    assert is_isomorphic(relabelled, chain(64))
+    levels = complete_multilevel([32, 32])
+    assert is_isomorphic(levels, dual(levels))
+    assert not is_isomorphic(y_poset(1, 63), y_prime_poset(1, 63))
+
+
+def test_is_isomorphic_refutes_a_pair_the_signature_passes():
+    # an N beside a 2-chain against a V beside a wedge: the same cover count
+    # and the same sorted (down-set size, up-set size) per element, so only
+    # the matcher can tell them apart (one cover of p moved, as in the
+    # networkx test below)
+    labels = [f"e{i}" for i in range(6)]
+    p = poset_from_covers(labels, [("e0", "e1"), ("e0", "e3"), ("e2", "e3"), ("e4", "e5")])
+    q = poset_from_covers(labels, [("e0", "e1"), ("e0", "e3"), ("e2", "e5"), ("e4", "e5")])
+    signature = [sorted((d.bit_count(), u.bit_count()) for d, u in zip(r.down, r.up))
+                 for r in (p, q)]
+    assert signature[0] == signature[1]
+    assert not is_isomorphic(p, q)
+    assert not is_isomorphic(q, p)
 
 
 def _hasse_digraph(p):
@@ -373,12 +406,13 @@ def test_is_isomorphic_matches_networkx(drawn, rnd):
 
 
 def test_is_isomorphic_backtracks_past_a_failed_image():
-    # the search first maps p's e0, e1, e2 to q's e0, e1, e2 and fails at e3;
-    # it succeeds only once q's e1 is freed again for p's e2
-    p = poset_from_covers([f"e{i}" for i in range(6)],
-                          [("e0", "e5"), ("e1", "e5"), ("e2", "e3")])
-    q = poset_from_covers([f"e{i}" for i in range(6)],
-                          [("e0", "e3"), ("e1", "e4"), ("e2", "e3")])
+    # p is e0 < e2 beside e1, q is e2 < e1 beside e0.  The matcher first
+    # gives p's e0 the down-set {e0} of q, the lone point, and then finds no
+    # 2-element down-set above it for p's e2; it succeeds only once {e0} is
+    # freed again, for p's e1.  The other way round, q's lone e0 first takes
+    # p's {e0}, the one point below a 2-element down-set, and backtracks too.
+    p = poset_from_covers(["e0", "e1", "e2"], [("e0", "e2")])
+    q = poset_from_covers(["e0", "e1", "e2"], [("e2", "e1")])
     assert is_isomorphic(p, q)
     assert is_isomorphic(q, p)
 
