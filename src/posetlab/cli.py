@@ -38,11 +38,16 @@ def parse_poset_spec(spec):
         return poset.poset_from_json(_read_text(spec, "poset"))
     kind, _, rest = spec[len("named:"):].partition("(")
     if not rest.endswith(")"):
-        raise UsageError(f"malformed named poset {spec!r}; expected named:KIND(a,b,...)")
+        raise UsageError(f"malformed named poset {_excerpt(spec)}; expected named:KIND(a,b,...)")
     try:
-        return poset.gen_named(kind, _ints(rest[:-1], repr(spec)))
+        return poset.gen_named(kind, _ints(rest[:-1], _excerpt(spec)))
     except InvalidParam as exc:
-        raise UsageError(f"{spec!r}: {exc}") from exc
+        raise UsageError(f"{_excerpt(spec)}: {exc}") from exc
+
+
+def _excerpt(text):
+    """repr(text), cut after 40 characters: errors echo inputs in short."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _ints(text, what):
@@ -50,7 +55,8 @@ def _ints(text, what):
     int() alone would also take '٣', '+2' and '2_0'."""
     tokens = [t.strip() for t in text.split(",")] if text else []
     if not all(t.isascii() and t.isdigit() for t in tokens):
-        raise UsageError(f"{what}: expected comma-separated numbers of digits 0-9, got {text!r}")
+        raise UsageError(f"{what}: expected comma-separated numbers of digits 0-9, "
+                         f"got {_excerpt(text)}")
     try:
         return [int(t) for t in tokens]
     except ValueError as exc:  # past the interpreter's integer string limit

@@ -72,7 +72,7 @@ from .errors import (
     InvalidParam,
     NotFree,
 )
-from .family import canonical_masks, elements_of
+from .family import _bits, canonical_masks, elements_of, inclusion_rows
 from .poset import classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
@@ -462,7 +462,7 @@ def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
 
 
 # ---------------------------------------------------------------------------
-# Inclusion bigraphs and the greedy tree embedding.
+# Inclusion bigraphs, as bitset rows, and the greedy tree embedding.
 
 @dataclass(frozen=True)
 class InclusionBigraph:
@@ -470,7 +470,9 @@ class InclusionBigraph:
 
     Vertices are masks (left side strictly smaller sets); the edge set is
     always exactly the inclusion relation, so induced subgraphs stay
-    consistent by construction.
+    consistent by construction.  left_rows[li] has bit ri set iff left[li]
+    is a subset of right[ri]; right_rows, the transpose, is family.inclusion_rows
+    on complements.  Both cost |left| * i + |right| * (n - j) big-int ANDs.
     """
 
     left: tuple[int, ...]
@@ -487,23 +489,17 @@ class InclusionBigraph:
             raise InvalidParam("left side must be the strictly smaller size")
 
     @cached_property
-    def left_adj(self):
-        return tuple(
-            tuple(ri for ri, b in enumerate(self.right) if a & ~b == 0)
-            for a in self.left
-        )
+    def left_rows(self):
+        return tuple(inclusion_rows(self.left, self.right))
 
     @cached_property
-    def right_adj(self):
-        adj = [[] for _ in self.right]
-        for li, nbrs in enumerate(self.left_adj):
-            for ri in nbrs:
-                adj[ri].append(li)
-        return tuple(tuple(x) for x in adj)
+    def right_rows(self):
+        full = (1 << max(self.left + self.right, default=0).bit_length()) - 1
+        return tuple(inclusion_rows([full ^ b for b in self.right], [full ^ a for a in self.left]))
 
     @property
     def edge_count(self):
-        return sum(len(nbrs) for nbrs in self.left_adj)
+        return sum(row.bit_count() for row in self.left_rows)
 
     @property
     def vertex_count(self):
@@ -533,29 +529,20 @@ def min_degree_subgraph(graph, d):
     """
     if d < 1:
         raise InvalidParam("need d >= 1")
-    alive = [True] * graph.vertex_count
     nl = len(graph.left)
-    deg = [len(a) for a in graph.left_adj] + [len(a) for a in graph.right_adj]
-
-    def neighbours(v):
-        if v < nl:
-            return (nl + ri for ri in graph.left_adj[v])
-        return iter(graph.right_adj[v - nl])
-
-    while True:
-        best = None
-        for v in range(len(alive)):
-            if alive[v] and (best is None or deg[v] < deg[best]):
-                best = v
-        if best is None or deg[best] >= d:
+    rows = [row << nl for row in graph.left_rows] + list(graph.right_rows)
+    deg = [row.bit_count() for row in rows]
+    alive = (1 << len(rows)) - 1
+    while alive:
+        v = min(_bits(alive), key=deg.__getitem__)
+        if deg[v] >= d:
             break
-        alive[best] = False
-        for u in neighbours(best):
-            if alive[u]:
-                deg[u] -= 1
+        alive ^= 1 << v
+        for u in _bits(rows[v] & alive):
+            deg[u] -= 1
     return InclusionBigraph(
-        tuple(graph.left[v] for v in range(nl) if alive[v]),
-        tuple(graph.right[ri] for ri in range(len(graph.right)) if alive[nl + ri]),
+        tuple(graph.left[v] for v in _bits(alive & (1 << nl) - 1)),
+        tuple(graph.right[v] for v in _bits(alive >> nl)),
     )
 
 
@@ -566,7 +553,8 @@ def greedy_tree_embed(graph, tree):
     Elements are placed in the walk tree.hasse_orders[0]; in a tree it
     places exactly one neighbour before each element but the first, its
     parent, and the element takes the first free vertex adjacent to the
-    parent's.  Succeeds whenever the graph has minimum degree >= |tree| - 1:
+    parent's: the lowest set bit of the parent's row once the used vertices
+    are cleared.  Succeeds whenever the graph has minimum degree >= |tree| - 1:
     the parent lies on the other side, so at most |tree| - 2 vertices of
     the element's side are taken and one of the parent's neighbours is
     free; any walk that places parents first would do.  Below that degree
@@ -576,20 +564,20 @@ def greedy_tree_embed(graph, tree):
         raise InvalidParam("need a height-2 tree poset")
     ranks = tree.ranks
     sides = (graph.left, graph.right)
-    adj_from = (graph.left_adj, graph.right_adj)
-    used = (set(), set())
+    rows = (graph.left_rows, graph.right_rows)
+    used = [0, 0]
     slot = {}
     for e in tree.hasse_orders[0]:
         side = ranks[e]
         parent = next((p for p in tree.neighbours[e] if p in slot), None)
         if parent is None:
-            pool = range(len(sides[side]))
+            pool = (1 << len(sides[side])) - 1
         else:
-            pool = adj_from[1 - side][slot[parent]]
-        choice = next((v for v in pool if v not in used[side]), None)
-        if choice is None:
+            pool = rows[1 - side][slot[parent]]
+        free = pool & ~used[side]
+        if not free:
             raise EmbedFailed(tree.elements[e])
-        slot[e] = choice
-        used[side].add(choice)
+        slot[e] = (free & -free).bit_length() - 1
+        used[side] |= free & -free
     mapping = {tree.elements[e]: sides[ranks[e]][v] for e, v in slot.items()}
     return Embedding(mapping, "rank_preserving")

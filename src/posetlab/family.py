@@ -9,7 +9,7 @@ walks the layers it uses once each, by Gosper's step (_layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from math import comb
 
 from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
@@ -58,16 +58,29 @@ def mask_of(elements):
     return m
 
 
-def elements_of(mask):
-    """Sorted 1-based element list of a bitmask."""
-    out = []
-    e = 1
+@cache
+def _byte_text():
+    """Row k, entry v: byte k's elements, each with a comma, when it reads v."""
+    return [reduce(lambda row, e: row + [f"{t}{e}," for t in row], range(k + 1, k + 9), [""])
+            for k in range(0, MAX_GROUND, 8)]
+
+
+def _elements_text(mask):
+    low, mid, high = _byte_text()
+    return (low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])[:-1]
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def elements_of(mask):
+    """Sorted 1-based element list of a bitmask over [MAX_GROUND]."""
+    return [int(e) for e in _elements_text(mask).split(",") if e]
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,23 @@ def layer_profile(fam):
     for m in fam.members:
         profile[m.bit_count()] += 1
     return profile
+
+
+def inclusion_rows(lower, upper):
+    """Yield, for each mask a of lower, the int whose bit r is set iff a is a
+    subset of upper[r]: the AND of its elements' holder rows, every width-th
+    digit of upper in binary, at |a| big-int ANDs of |upper| bits per row."""
+    width = max(upper, default=0).bit_length()
+    text = "".join(map(f"{{:0{width}b}}".format, reversed(upper)))
+    holders = [int(text[e::width], 2) for e in range(width - 1, -1, -1)]
+    everyone = (1 << len(upper)) - 1
+    for a in lower:
+        row = 0 if a >> width else everyone
+        while a and row:
+            low = a & -a
+            row &= holders[low.bit_length() - 1]
+            a ^= low
+        yield row
 
 
 def full_layer(n, k):
@@ -237,5 +267,5 @@ def parse_family(text):
 def serialize_family(fam):
     lines = [f"n={fam.n}"]
     for m in fam.members:
-        lines.append(",".join(str(e) for e in elements_of(m)) if m else "-")
+        lines.append(_elements_text(m) or "-")
     return "\n".join(lines) + "\n"

@@ -373,7 +373,7 @@ def gen_named(kind, params, t3_reading="degree"):
     """Dispatch on any name in _GENERATORS; params is a sequence of positive
     ints (the full sizes list for complete_multilevel)."""
     if kind not in _GENERATORS:
-        raise InvalidParam(f"unknown poset kind {kind!r}; known: {', '.join(_GENERATORS)}")
+        raise InvalidParam(f"unknown poset kind {kind[:40]!r}; known: {', '.join(_GENERATORS)}")
     fn, arity = _GENERATORS[kind]
     params = list(params)
     if arity is None:

@@ -15,7 +15,13 @@ from posetlab.chains import (
     tail_ratio_diagnostic,
 )
 from posetlab.errors import InvalidParam, TooLargeForEnumeration
-from posetlab.family import SetFamily, full_layer, lubell_tail_family, middle_layers
+from posetlab.family import (
+    SetFamily,
+    f23_construction,
+    full_layer,
+    lubell_tail_family,
+    middle_layers,
+)
 from strategies import families, random_family
 
 
@@ -85,6 +91,12 @@ def test_count_2chains_between_requires_i_lt_j():
 def test_count_2chains_matches_all_pairs_loop(fam):
     nested = sum(1 for a in fam for b in fam if a != b and a & ~b == 0)
     assert count_2chains(fam) == nested
+
+
+def test_count_2chains_matches_all_pairs_loop_on_f23():
+    members = f23_construction(14).members
+    nested = sum(1 for a in members for b in members if a != b and a & ~b == 0)
+    assert count_2chains(f23_construction(14)) == nested == 1848
 
 
 @given(families(max_n=8, max_size=40))

@@ -301,6 +301,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--mode", "colored"),
         ("poset", "gen", "--kind", "chain", "--params", "9" * 5000),
         ("poset", "show", "--named", f"named:chain({'9' * 5000})"),
+        ("poset", "show", "--named", f"named:chain({'9' * 3000},x)"),
+        ("check", "free", "--family", "{tmp}/fam.txt", "--forbid",
+         f"named:zz({','.join(['1'] * 2000)})"),
+        ("poset", "show", "--named", f"named:{'z' * 5000}(1)"),
         ("family", "stats", "--file", "{tmp}/long-n.txt"),
         ("family", "stats", "--file", "{tmp}/long-element.txt"),
         ("poset", "show", "--file", "{tmp}/deep.json"),
@@ -316,7 +320,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "params-arabic-indic-digit", "params-underscore", "params-plus-sign",
          "named-unclosed", "named-empty-param", "gen-unknown-kind", "tail-without-h",
          "middle-without-h", "show-without-source", "check-colored-mode",
-         "params-over-long-number", "named-over-long-number", "family-over-long-n",
+         "params-over-long-number", "named-over-long-number", "named-bad-token-after-long-one",
+         "forbid-unknown-kind-many-params", "named-over-long-kind", "family-over-long-n",
          "family-over-long-element", "poset-deeply-nested-json", "forbid-deeply-nested-json"],
 )
 def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
@@ -338,6 +343,8 @@ def test_input_errors_exit_2_with_message(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("posetlab: ")
+    # the message names an over-long input by an excerpt, not in full
+    assert len(err.replace(str(tmp_path), "{tmp}").encode()) < 300
 
 
 def test_no_partial_output_on_error(capsys, tmp_path):

@@ -579,9 +579,9 @@ def test_min_degree_subgraph_matches_networkx(rng):
         nxg = nx.Graph()
         nxg.add_nodes_from(("L", m) for m in g.left)
         nxg.add_nodes_from(("R", m) for m in g.right)
-        for li, nbrs in enumerate(g.left_adj):
-            for ri in nbrs:
-                nxg.add_edge(("L", g.left[li]), ("R", g.right[ri]))
+        for a, row in zip(g.left, g.left_rows):
+            nxg.add_edges_from((("L", a), ("R", b)) for ri, b in enumerate(g.right)
+                               if row >> ri & 1)
         nxcore = nx.k_core(nxg, d)
         assert set(core.left) == {m for s, m in nxcore.nodes if s == "L"}
         assert set(core.right) == {m for s, m in nxcore.nodes if s == "R"}
@@ -606,6 +606,17 @@ def test_greedy_embed_star_into_k33():
     g = InclusionBigraph(left, right)
     emb = greedy_tree_embed(g, y_poset(1, 3))
     assert check_embedding(y_poset(1, 3), emb.mapping, "rank_preserving")
+
+
+def test_greedy_embed_takes_the_first_free_neighbour():
+    # {1,2,3} and {1,2,4} are missing, so c lands on {1,3,4}; b takes c's
+    # first free neighbour {3}, and d, e the first free neighbours of b's
+    right = tuple(m for m in full_layer(5, 3) if m not in (0b00111, 0b01011))
+    g = InclusionBigraph(tuple(full_layer(5, 1)), right)
+    tree = poset_from_covers("abcde", [("a", "c"), ("b", "c"), ("b", "d"), ("b", "e")])
+    emb = greedy_tree_embed(g, tree)
+    assert emb.mapping == {"a": 0b00001, "c": 0b01101, "b": 0b00100, "d": 0b01110,
+                           "e": 0b10101}
 
 
 def test_greedy_embed_fails_on_single_edge():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from posetlab.errors import ElementOutOfRange, InvalidParam, OddN, ParseError, PosetlabError
 from posetlab.family import (
@@ -13,6 +14,7 @@ from posetlab.family import (
     f23_construction,
     f23_formula_size,
     full_layer,
+    inclusion_rows,
     layer_profile,
     lubell_tail_family,
     mask_of,
@@ -28,6 +30,7 @@ def test_mask_round_trip():
     assert mask_of([1, 3]) == 0b101
     assert elements_of(0b101) == [1, 3]
     assert elements_of(0) == []
+    assert elements_of(mask_of([1, 8, 9, 16, 17, 24])) == [1, 8, 9, 16, 17, 24]
 
 
 def test_canonical_member_order():
@@ -194,8 +197,31 @@ def test_line_errors_share_only_the_line_prefix():
 def test_serialize_canonical():
     fam = SetFamily(3, (0b111, 0, 0b011))
     assert serialize_family(fam) == "n=3\n-\n1,2\n1,2,3\n"
+    assert serialize_family(SetFamily(24, (mask_of([8, 9, 24]),))) == "n=24\n8,9,24\n"
 
 
 @given(families(max_n=6))
 def test_parse_serialize_round_trip(fam):
     assert parse_family(serialize_family(fam)) == fam
+
+
+@st.composite
+def size_groups(draw):
+    """Two lists of distinct masks over [n], n <= 24, of one size each (the
+    lower size below the upper), either list possibly empty."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    j = draw(st.integers(min_value=i + 1, max_value=n))
+
+    def group(k):
+        sets = st.sets(st.sampled_from(range(n)), min_size=k, max_size=k)
+        return sorted({mask_of(e + 1 for e in s) for s in draw(st.lists(sets, max_size=12))})
+
+    return group(i), group(j)
+
+
+@given(size_groups())
+def test_inclusion_rows_match_the_pair_scan(groups):
+    lower, upper = groups
+    rows = list(inclusion_rows(lower, upper))
+    assert rows == [sum(1 << r for r, b in enumerate(upper) if a & ~b == 0) for a in lower]
