@@ -12,9 +12,18 @@ and the intersection of assigned upper images.  The size-constrained modes
 first assign a target size to every rank/color class (sizes must strictly
 increase between classes containing comparable elements; unrelated classes
 may share a size), then backtrack on images within the size classes.
-The order data of a poset (Hasse orders, height, rank classes) is cached
-on the Poset; a coloring's class table is built once per find_copy,
-creates_copy_through, saturation_check or search.
+
+Cached tables.  Each is a pure function of its key and is read in the
+order it was built, so a warm table answers as a fresh one: every witness,
+counterexample and node count is the one the tables built anew would give.
+  - On the Poset: the order data (Hasse orders, height, rank classes), the
+    class table per colouring (Poset.class_table) and the reference tester
+    per (pattern test, class table, ordering set), with the orderings each
+    inclusion word passes per (pattern test, ordering set) (_copy_tester).
+  - On a _Pool, for its lifetime (one find_copy or creates_copy_through,
+    one saturation_check, one search): the class-size vectors per class
+    table, forced class and size, and size profile capped at |P|
+    (_embed_by_class_sizes).  The weak and induced matcher keeps no table.
 
 Height exit (unanchored matcher only).  Every mode maps x < y to phi(x) a
 proper subset of phi(y), so a chain of P maps to sets of strictly
@@ -29,10 +38,10 @@ ground set [n] when none is placed).  On candidate lists of at least
 _INTERVAL_MIN sets, when the interval holds fewer points of the sizes the
 element may take (its class size, or every size of the family) than
 1 / _INTERVAL_COST per candidate, the matcher lists those points, size by
-size in ascending order, keeps the ones in the family's member set and
-scans only these.  They are exactly the candidates the scan would let
-through the interval test, in the same canonical order, so every
-embedding, witness and counterexample is the one the scan finds.
+size in ascending order (family._walk_interval), keeps the ones in the
+family's member set and scans only these.  They are exactly the candidates
+the scan would let through the interval test, in the same canonical order,
+so every embedding, witness and counterexample is the one the scan finds.
 
 Every one-set test (the search, saturation_check, creates_copy_through)
 runs in place through _copy_through on a _Pool: it appends the new set to
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .errors import (
@@ -72,8 +81,8 @@ from .errors import (
     InvalidParam,
     NotFree,
 )
-from .family import _bits, canonical_masks, elements_of, inclusion_rows
-from .poset import classify_tree
+from .family import _bits, _walk_interval, canonical_masks, elements_of, inclusion_rows
+from .poset import _class_sizes, classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
 
@@ -141,18 +150,6 @@ def _interval_members(cand, sizes, lower, upper, member_set):
     if sum([comb(f, r) for r in picks]) * _INTERVAL_COST >= len(cand):
         return cand
     return _walk_interval(lower, free, picks, member_set)
-
-
-def _walk_interval(lower, free, picks, member_set):
-    """The members lower | x, for x each set of r free bits, r in picks
-    ascending, in canonical order: the points of one size are sorted before
-    the members among them are yielded."""
-    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
-    for r in picks:
-        for x in sorted(map(sum, combinations(bits, r))):
-            m = lower | x
-            if m in member_set:
-                yield m
 
 
 def _backtrack_images(size_of, pool, poset, mode, forced):
@@ -228,53 +225,59 @@ def _find_embedding(pool, poset, mode, classes, forced=None):
 
 def _embed_by_class_sizes(pool, poset, mode, classes, forced):
     """_find_embedding in the size-constrained modes: give each class a
-    set size, ascending, sizes strictly increasing from a class to every
-    class above it, then backtrack on images within the sizes."""
-    by_size = pool.by_size
-    cls_of, below, above, class_count = classes
-    k = len(class_count)
-    sizes_avail = sorted(by_size)
-    room = {s: len(by_size[s]) for s in sizes_avail}  # members not yet taken
-    forced_sizes = {cls_of[forced[0]]: forced[1].bit_count()} if forced else {}
-    assign = [None] * k
-    found = None
+    set size, then backtrack on images within the sizes, one class-size
+    vector after another until one holds a copy.
 
-    def assign_classes(ci):
-        nonlocal found
-        if ci == k:
-            found = _backtrack_images([assign[c] for c in cls_of], pool, poset, mode, forced)
-            return
-        # strictly above the sizes of the classes below, under those above
-        lo = max([assign[cj] for cj in below[ci]], default=-1)
-        hi = min([assign[cj] for cj in above[ci]], default=sizes_avail[-1] + 1)
-        want, need = forced_sizes.get(ci), class_count[ci]
-        for s in sizes_avail:
-            if not lo < s < hi or room[s] < need or (want is not None and s != want):
-                continue
-            assign[ci] = s
-            room[s] -= need
-            assign_classes(ci + 1)
-            room[s] += need
-            if found is not None:
-                return
-
-    assign_classes(0)
-    return found
+    The vectors are kept in pool.vectors[classes][key] for the pool's
+    lifetime.  They are a pure function of the class table and the key, an
+    int of 7-bit fields: the forced class + 1 (0 when nothing is forced),
+    the forced size, then each size's member count capped at |P| (a class
+    never needs more, so the cap changes no room test, and it bounds the
+    keys by the lattice, not by the calls).  Each call reads the vectors
+    from the first, in the order of the poset._class_sizes walk: those
+    listed by earlier calls, then, while the walk is not spent, the walk
+    past them, listing each vector it reaches.  No walk is kept between
+    calls, and once a walk is spent its vectors are kept as a tuple."""
+    by_size, k = pool.by_size, len(classes[0])
+    pin = (classes[0][forced[0]], forced[1].bit_count()) if forced else (-1, 0)
+    key = pin[0] + 1 | pin[1] << 7
+    for s, group in by_size.items():
+        count = len(group)
+        key |= (count if count < k else k) << 14 + 7 * s
+    table = pool.vectors.setdefault(classes, {})
+    listed = table.setdefault(key, [])
+    for size_of in listed:
+        image = _backtrack_images(size_of, pool, poset, mode, forced)
+        if image is not None:
+            return image
+    if isinstance(listed, list):  # the walk may go on past the listed vectors
+        sizes = sorted([s for s, group in by_size.items() if group])
+        walk = _class_sizes(classes, pin, sizes, [len(by_size[s]) for s in sizes],
+                            [None] * len(classes[3]))
+        for size_of in islice(walk, len(listed), None):
+            listed.append(size_of)
+            image = _backtrack_images(size_of, pool, poset, mode, forced)
+            if image is not None:
+                return image
+        table[key] = tuple(listed)  # spent: () for most keys, one shared object
+    return None
 
 
 class _Pool:
     """The sets a copy may use: members in canonical order (a set under a
     one-set test sits at the end), the same sets grouped by size, the same
     sets as a set for the interval route, and the ground set [n] as a mask.
-    push and pop change all three views together."""
+    push and pop change all three views together.  vectors is the memo of
+    _embed_by_class_sizes, which lives and dies with the pool."""
 
-    __slots__ = ("members", "by_size", "member_set", "ground")
+    __slots__ = ("members", "by_size", "member_set", "ground", "vectors")
 
     def __init__(self, n, members, by_size, member_set):
         self.members = members
         self.by_size = by_size
         self.member_set = member_set
         self.ground = (1 << n) - 1
+        self.vectors = {}
 
     @classmethod
     def copy_of(cls, fam):
@@ -394,31 +397,47 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
 # once.  Equal class => equal size is checked pair by pair on the
 # orderings that pass.
 
-def _copy_tester(poset, mode, coloring, patterns=None):
+def _copy_tester(poset, mode, coloring, given_order=False):
     """first(combo): the first ordering of the distinct masks combo (masks
     indexed like poset.elements) that meets every copy condition of the
-    mode, or None.  The orderings tried are patterns, by default
-    Poset.order_patterns: every permutation, in itertools order."""
+    mode, or None.  The orderings tried are Poset.order_patterns, every
+    permutation in itertools order, or with given_order only combo's own.
+
+    A tester depends on the mode only through its pattern test (induced or
+    not) and its class table: it is built once per (pattern test, class
+    table, ordering set) and kept in poset.memo.  Per pattern test and
+    ordering set, the memo also keeps for each inclusion word rel the
+    patterns that rel passes, as a bit mask over their indices.  Both are
+    pure functions of their keys, so a warm tester returns what a fresh
+    one would, and the memo never leaves embed's reference code."""
     classes = _class_setup(poset, mode, coloring)
+    induced = mode == "induced"
+    key = ("copy_tester", induced, classes, given_order)
+    if key in poset.memo:
+        return poset.memo[key]
     k = len(poset.elements)
+    patterns = (poset.order_pattern(range(k)),) if given_order else poset.order_patterns
     same_class = [(i, j) for i, j in combinations(range(k), 2)
                   if classes and classes[0][i] == classes[0][j]]
-    induced = mode == "induced"
+    passing = poset.memo.setdefault(("passing", induced, given_order), {})
 
     def first(combo):
-        rel = 0  # the diagonal bits are set too; no pattern holds them
-        for a, x in enumerate(combo):
-            for b, y in enumerate(combo):
-                if x & ~y == 0:
-                    rel |= 1 << (a * k + b)
-        for perm, need, apart in patterns or poset.order_patterns:
-            if need & ~rel or induced and apart & rel:
-                continue
-            masks = tuple([combo[p] for p in perm])
+        rel, bit = 0, 1  # the diagonal bits are set too; no pattern holds them
+        for x in combo:
+            for y in combo:  # bit a * k + b: position a within position b
+                if not x & ~y:
+                    rel |= bit
+                bit <<= 1
+        if rel not in passing:
+            passing[rel] = sum([1 << i for i, (perm, need, apart) in enumerate(patterns)
+                                if not (need & ~rel or induced and apart & rel)])
+        for index in _bits(passing[rel]):
+            masks = tuple([combo[p] for p in patterns[index][0]])
             if all(masks[i].bit_count() == masks[j].bit_count() for i, j in same_class):
                 return masks
         return None
 
+    poset.memo[key] = first
     return first
 
 
@@ -457,8 +476,7 @@ def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
         return False
     if family is not None and any(m not in family for m in masks):
         return False
-    given = (poset.order_pattern(range(len(masks))),)
-    return _copy_tester(poset, mode, coloring, given)(masks) is not None
+    return _copy_tester(poset, mode, coloring, given_order=True)(masks) is not None
 
 
 # ---------------------------------------------------------------------------

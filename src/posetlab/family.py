@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from itertools import combinations
 from math import comb
 
 from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
@@ -148,6 +149,19 @@ def inclusion_rows(lower, upper):
             row &= holders[low.bit_length() - 1]
             a ^= low
         yield row
+
+
+def _walk_interval(lower, free, picks, member_set):
+    """The members lower | x, for x each set of r free bits, r in picks
+    ascending, in canonical order: the points of one size are sorted before
+    the members among them are yielded.  embed's interval route lists its
+    candidates with this walk."""
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    for r in picks:
+        for x in sorted(map(sum, combinations(bits, r))):
+            m = lower | x
+            if m in member_set:
+                yield m
 
 
 def full_layer(n, k):

@@ -8,8 +8,11 @@ closes raw pairs with it, reads the cycle check and the transitive reduction
 off it and hands it on to the reduced poset; instances are immutable.
 Everything derived from the order (relation bitmasks, Hasse lists and
 orders, ranks, height, rank classes, permutation patterns) is a cached
-property, computed once per instance; no module keeps a table keyed by a
-poset.
+property, computed once per instance, and a table that also depends on an
+argument (a colouring's class table, embed's reference testers) sits in
+the instance's memo under that argument; no module keeps a table keyed by
+a poset.  _class_sizes walks the set sizes a class table can take, for
+embed's size-constrained matcher.
 """
 from __future__ import annotations
 
@@ -138,12 +141,22 @@ class Poset:
             orders.append(tuple(order))
         return tuple(orders)
 
+    @cached_property
+    def memo(self):
+        """Tables derived from the order and one more argument, each a pure
+        function of its key: the class table per labelling here, embed's
+        reference testers and the orderings each inclusion word passes."""
+        return {}
+
     def class_table(self, raw):
         """Class index per element for the labels raw (one per element); per
         class c, the classes of smaller index that hold an element strictly
         below, and strictly above, an element of c; the class sizes.
         InvalidColoring when two comparable elements share a label: the
-        first such pair i < j is named."""
+        first such pair i < j is named.  Built once per labelling (memo)."""
+        key = ("class_table", *raw)
+        if key in self.memo:
+            return self.memo[key]
         ids = sorted(set(raw))
         cls_of = tuple(ids.index(c) for c in raw)
         less = set()
@@ -159,7 +172,8 @@ class Poset:
                                       f"{self.elements[j]!r} share a color")
         below = tuple(tuple(b for b in range(c) if (b, c) in less) for c in range(len(ids)))
         above = tuple(tuple(a for a in range(c) if (c, a) in less) for c in range(len(ids)))
-        return cls_of, below, above, tuple(cls_of.count(c) for c in range(len(ids)))
+        table = self.memo[key] = cls_of, below, above, tuple(map(cls_of.count, range(len(ids))))
+        return table
 
     @cached_property
     def rank_classes(self):
@@ -189,9 +203,40 @@ class Poset:
         itertools order: the table of the brute-force matcher in embed."""
         return tuple(map(self.order_pattern, permutations(range(len(self.elements)))))
 
+    @cached_property
+    def refined_signature(self):
+        """Each element's (down-set size, up-set size) with the sorted
+        signatures of its Hasse neighbours, sorted: one round of colour
+        refinement, an isomorphism invariant."""
+        sig = [(d.bit_count(), u.bit_count()) for d, u in zip(self.down, self.up)]
+        return sorted((s, sorted([sig[j] for j in nb])) for s, nb in zip(sig, self.neighbours))
+
     def le(self, a, b):
         """a <= b in the partial order (labels)."""
         return self.up[self.index[a]] >> self.index[b] & 1 == 1
+
+
+def _class_sizes(classes, pin, sizes, room, assign, ci=0):
+    """Yield, as the size per element, each assignment of set sizes to the
+    classes of a class table from ci on (those before are in assign): in
+    class order, sizes ascending, strictly above the sizes of the classes
+    below and under those above, with room (members per size) left for the
+    class; class pin[0] takes only the size pin[1].  embed's size-
+    constrained matcher walks it; a module-level generator, so a dropped
+    walk holds no reference cycle."""
+    cls_of, below, above, class_count = classes
+    if ci == len(class_count):
+        yield tuple([assign[c] for c in cls_of])
+        return
+    lo = max([assign[cj] for cj in below[ci]], default=-1)
+    hi = min([assign[cj] for cj in above[ci]], default=sizes[-1] + 1)
+    need = class_count[ci]
+    for i, s in enumerate(sizes):
+        if lo < s < hi and room[i] >= need and (ci != pin[0] or s == pin[1]):
+            assign[ci] = s
+            room[i] -= need
+            yield from _class_sizes(classes, pin, sizes, room, assign, ci + 1)
+            room[i] += need
 
 
 def poset_from_covers(elements, covers):
@@ -397,13 +442,12 @@ def is_isomorphic(p, q):
     embed's matcher searches for the copy with each element of p pinned to
     the down-sets of its own down-set size, which an isomorphism keeps;
     unpinned, a chain whose element 0 sits mid-way backtracks exponentially.
-    Before it come exits on the element count, the cover count and the
-    sorted (down-set size, up-set size) per element; the last also makes
-    every pinned size one that q has."""
-    def signature(r):
-        return sorted(zip(map(int.bit_count, r.down), map(int.bit_count, r.up)))
-
-    if len(p) != len(q) or len(p.covers) != len(q.covers) or signature(p) != signature(q):
+    Before it come exits on the element count, the cover count and
+    Poset.refined_signature, which also makes every pinned size one that q
+    has, and refutes at once pairs whose one odd component the matcher
+    would reach only after re-placing all the others."""
+    if len(p) != len(q) or len(p.covers) != len(q.covers) or (
+            p.refined_signature != q.refined_signature):
         return False
     if not p.elements:  # no Hasse walk to start
         return True

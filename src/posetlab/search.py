@@ -234,7 +234,12 @@ def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):
 def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     """Independent route for tiny n: mark every subfamily that is exactly a
     copy image (by the reference matcher, set up once per forbidden poset),
-    close upward over all 2^(2^n) families, read off the largest unmarked."""
+    close upward over all 2^(2^n) families, read off the largest unmarked,
+    the first in numeric order of its size.
+
+    Family F (bit c set iff it holds canonical candidate c) is byte F of one
+    int, 1 when marked.  The closure takes one shift-OR per candidate: the
+    bytes of the families without c, moved up by 2^c bytes, mark F plus c."""
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise InvalidParam(f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}")
     forbidden = tuple(forbidden)
@@ -247,31 +252,20 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
         if k > m:
             continue
         for combo in combinations(range(m), k):
-            bits = 0
-            for c in combo:
-                bits |= 1 << c
-            if direct[bits]:
-                continue
-            if first([masks[c] for c in combo]) is not None:
+            bits = sum([1 << c for c in combo])
+            if not direct[bits] and first([masks[c] for c in combo]) is not None:
                 direct[bits] = 1
-    viol = bytearray(1 << m)
-    for fam_bits in range(1, 1 << m):
-        if direct[fam_bits]:
-            viol[fam_bits] = 1
-            continue
-        rest = fam_bits
-        while rest:
-            low = rest & -rest
-            if viol[fam_bits ^ low]:
-                viol[fam_bits] = 1
-                break
-            rest ^= low
-    best, best_bits = 0, 0
-    for fam_bits in range(1 << m):
-        if not viol[fam_bits]:
-            pc = fam_bits.bit_count()
-            if pc > best:
-                best, best_bits = pc, fam_bits
+    viol = int.from_bytes(direct, "little")
+    for c in range(m):
+        without_c = int.from_bytes((b"\1" * (1 << c) + bytes(1 << c)) * (1 << m - c - 1), "little")
+        viol |= (viol & without_c) << (8 << c)
+    sizes, one_more = bytearray(1), bytes(range(1, 256)) + b"\0"  # sizes[F] = |F|
+    for _ in range(m):  # the families with candidate c hold one set more
+        sizes += sizes.translate(one_more)
+    free = (1 << (8 << m)) - 1 - viol * 255  # byte F is 255 when F is unmarked, else 0
+    score = (int.from_bytes(sizes, "little") & free).to_bytes(1 << m, "little")
+    best = max(score)
+    best_bits = score.index(best)  # the empty family, unmarked, when best is 0
     witness = SetFamily(n, tuple(masks[c] for c in range(m) if best_bits >> c & 1))
     return SearchOutcome(best, witness, 1 << m, mode, forbidden, True)
 

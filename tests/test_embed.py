@@ -10,7 +10,9 @@ from posetlab import embed
 from posetlab.embed import (
     MODES,
     InclusionBigraph,
+    _class_setup,
     _copy_through,
+    _find_embedding,
     _Pool,
     build_inclusion_bigraph,
     check_embedding,
@@ -31,10 +33,12 @@ from posetlab.errors import (
     InvalidColoring,
     InvalidParam,
     NotGraded,
+    PosetlabError,
 )
 from posetlab.family import (
     SetFamily,
     canonical_key,
+    canonical_masks,
     f23_construction,
     full_layer,
     middle_layers,
@@ -522,6 +526,132 @@ def test_height_exit_still_raises_mode_errors():
         find_copy(fam, chain(3), "colored", {"x1": 0, "x2": 0, "x3": 1})
     assert find_copy(fam, chain(3), "colored", rank_coloring(chain(3))) is None
     assert find_copy(fam, skewed, "weak") is None
+
+
+# ---------------------------------------------------------------------------
+# The cached tables: a Poset or _Pool that has served other families,
+# colourings or profiles answers as a fresh, equal one.
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except PosetlabError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(p):
+    """An equal poset with nothing cached."""
+    return poset_from_covers(p.elements, p.covers)
+
+
+def _saturation_check_of(fam, p, mode, coloring):
+    return saturation_check(fam, [p], mode, coloring)
+
+
+def _warm_and_cold(p, calls):
+    """The outcomes of calls (fn, args), each with "P" in args standing for
+    the poset: all on p, in turn, and each on a fresh equal poset."""
+    return [[_outcome(fn, *[q() if a == "P" else a for a in args]) for fn, args in calls]
+            for q in (lambda: p, lambda: _fresh(p))]
+
+
+@st.composite
+def _colorings(draw, p):
+    """Rank classes, one class per element and labels drawn from three
+    values (often invalid: comparable elements sharing one), in drawn order."""
+    drawn = {x: draw(st.integers(0, 2)) for x in p.elements}
+    return draw(st.permutations([rank_coloring(p), dict(zip(p.elements, range(len(p)))),
+                                 drawn]))
+
+
+def _mode_colorings(data, p, modes):
+    """(mode, coloring) for each mode, every coloring of _colorings in
+    colored mode."""
+    return [(mode, c) for mode in modes
+            for c in (data.draw(_colorings(p)) if mode == "colored" else [None])]
+
+
+@settings(max_examples=40)
+@given(dag_covers(max_elements=4), st.lists(families(max_n=4, max_size=10), min_size=2,
+                                            max_size=3), st.data())
+def test_size_modes_answer_alike_on_a_warm_poset(covers, fams, data):
+    """find_copy, creates_copy_through and saturation_check in rank-
+    preserving and colored mode: every call on one poset, warmed by the
+    families and colourings before it, against the same call on a fresh
+    equal poset."""
+    p = poset_from_covers(*covers)
+    for fam in fams:
+        outside = [m for m in range(1 << fam.n) if m not in fam]
+        s = data.draw(st.sampled_from(outside)) if outside else None
+        for mode, coloring in _mode_colorings(data, p, ("rank_preserving", "colored")):
+            calls = [(find_copy, (fam, "P", mode, coloring)),
+                     (_saturation_check_of, (fam, "P", mode, coloring))]
+            if s is not None:
+                calls.append((creates_copy_through, (fam, "P", mode, s, coloring)))
+            warm, cold = _warm_and_cold(p, calls)
+            assert warm == cold
+
+
+@settings(max_examples=60)
+@given(dag_covers(max_elements=4), dag_covers(max_elements=3), st.integers(1, 4), st.data())
+def test_a_warm_pool_answers_as_a_fresh_one(covers, other, n, data):
+    """One _Pool walked the way the search walks it (candidates in canonical
+    order, each tested, then maybe kept; kept sets dropped from the end),
+    tested on two posets in turn: each one-set test and each unanchored
+    match on it, after the profiles, forced sizes and posets before,
+    against a fresh pool of the same sets."""
+    mode = data.draw(st.sampled_from(("rank_preserving", "colored")))
+    tables = []
+    for p in (poset_from_covers(*covers), poset_from_covers(*other)):
+        coloring = data.draw(_colorings(p))[0] if mode == "colored" else None
+        try:
+            tables.append((p, _class_setup(p, mode, coloring)))
+        except (NotGraded, InvalidColoring):
+            continue
+    warm = _Pool(n, [], {}, set())
+    for s in canonical_masks(n):
+        if warm.members and data.draw(st.integers(0, 3)) == 0:
+            warm.pop()
+        for p, classes in tables:
+            fresh = _Pool.copy_of(SetFamily(n, tuple(warm.members)))
+            fresh_p = _fresh(p)
+            fresh_classes = fresh_p.class_table(classes[0])
+            assert (_copy_through(warm, p, mode, s, classes)
+                    == _copy_through(fresh, fresh_p, mode, s, fresh_classes))
+            assert (_find_embedding(warm, p, mode, classes)
+                    == _find_embedding(fresh, fresh_p, mode, fresh_classes))
+        if data.draw(st.booleans()):
+            warm.push(s)
+
+
+@settings(max_examples=40)
+@given(dag_covers(max_elements=4), st.lists(families(max_n=3, max_size=8), min_size=2,
+                                            max_size=3), st.data())
+def test_reference_routes_answer_alike_on_a_warm_poset(covers, fams, data):
+    """find_copy_bruteforce, is_copy_image and check_embedding in all four
+    modes: every call on one poset, warmed by the families, colourings and
+    orderings before it, against the same call on a fresh equal poset.  The
+    mappings checked are drawn masks, each witness and the witness's masks
+    in other orders; the drawn masks are checked in their own order before
+    in any order, so both ordering sets meet each inclusion word first."""
+    p = poset_from_covers(*covers)
+    k = len(p.elements)
+    for fam in fams:
+        masks = data.draw(st.lists(st.integers(0, (1 << fam.n) - 1), min_size=k, max_size=k,
+                                   unique=True) if k <= 1 << fam.n else st.just([]))
+        for mode, coloring in _mode_colorings(data, p, MODES):
+            calls = [(check_embedding, ("P", dict(zip(p.elements, masks)), mode, coloring)),
+                     (is_copy_image, (masks, "P", mode, coloring)),
+                     (find_copy_bruteforce, (fam, "P", mode, coloring))]
+            witness = _outcome(find_copy_bruteforce, fam, p, mode, coloring)
+            if isinstance(witness, embed.Embedding):
+                images = list(witness.mapping.values())
+                for order in (images, images[::-1], images[1:] + images[:1]):
+                    mapping = dict(zip(p.elements, order))
+                    calls.append((check_embedding, ("P", mapping, mode, coloring, fam)))
+            warm, cold = _warm_and_cold(p, calls)
+            assert warm == cold
 
 
 # ---------------------------------------------------------------------------

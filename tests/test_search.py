@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from posetlab import embed
 from posetlab.embed import MODES, find_copy, find_copy_bruteforce
 from posetlab.errors import InvalidParam, NotFree, NotGraded
-from posetlab.family import SetFamily, canonical_key, middle_layers, sigma
+from posetlab.family import SetFamily, canonical_key, canonical_masks, middle_layers, sigma
 from posetlab.poset import (
     antichain,
     chain,
@@ -213,6 +213,24 @@ def test_exhaustive_matches_bnb_at_n3():
     for forb in ([C2], [Y12, Y12P]):
         for mode in ("weak", "induced", "rank_preserving"):
             assert exhaustive_max_free(3, forb, mode).value == la_exact(3, forb, mode).value
+
+
+@pytest.mark.parametrize("forbidden, mode", [
+    ([C2], "weak"), ([Y12, Y12P], "weak"), ([Y12], "induced"), ([chain(3)], "induced"),
+    ([Y22, Y22P], "rank_preserving"), ([y_poset(1, 1)], "rank_preserving"),
+])
+def test_exhaustive_witness_is_the_first_largest_free_family(forbidden, mode):
+    """Every one of the 256 families at n = 3, in numeric order of their
+    candidate bits, checked by the permutation matcher: the value is the
+    largest free size and the witness the first free family of that size."""
+    masks = list(canonical_masks(3))
+    best, first = -1, None
+    for bits in range(1 << len(masks)):
+        fam = SetFamily(3, tuple(m for c, m in enumerate(masks) if bits >> c & 1))
+        if len(fam) > best and not any(find_copy_bruteforce(fam, p, mode) for p in forbidden):
+            best, first = len(fam), fam
+    out = exhaustive_max_free(3, forbidden, mode)
+    assert (out.value, out.witness, out.nodes_explored) == (best, first, 256)
 
 
 def test_exhaustive_cap():
