@@ -38,7 +38,7 @@ ground set [n] when none is placed).  On candidate lists of at least
 _INTERVAL_MIN sets, when the interval holds fewer points of the sizes the
 element may take (its class size, or every size of the family) than
 1 / _INTERVAL_COST per candidate, the matcher lists those points, size by
-size in ascending order (family._walk_interval), keeps the ones in the
+size in ascending order (_interval_members), keeps the ones in the
 family's member set and scans only these.  They are exactly the candidates
 the scan would let through the interval test, in the same canonical order,
 so every embedding, witness and counterexample is the one the scan finds.
@@ -81,8 +81,8 @@ from .errors import (
     InvalidParam,
     NotFree,
 )
-from .family import _bits, _walk_interval, canonical_masks, elements_of, inclusion_rows
-from .poset import _class_sizes, classify_tree
+from .family import _bits, canonical_masks, elements_of, inclusion_rows
+from .poset import classify_tree
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
 
@@ -149,7 +149,10 @@ def _interval_members(cand, sizes, lower, upper, member_set):
     picks = [k - base for k in sizes if base <= k <= base + f]
     if sum([comb(f, r) for r in picks]) * _INTERVAL_COST >= len(cand):
         return cand
-    return _walk_interval(lower, free, picks, member_set)
+    # each size's points sorted: the canonical order within a size group
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    return (lower | x for r in picks for x in sorted(map(sum, combinations(bits, r)))
+            if (lower | x) in member_set)
 
 
 def _backtrack_images(size_of, pool, poset, mode, forced):
@@ -223,6 +226,28 @@ def _find_embedding(pool, poset, mode, classes, forced=None):
     return _backtrack_images(None, pool, poset, mode, forced)
 
 
+def _class_sizes(classes, pin, sizes, room, assign, ci=0):
+    """Yield, as the size per element, each assignment of set sizes to the
+    classes of a class table from ci on (those before are in assign): in
+    class order, sizes ascending, strictly above the sizes of the classes
+    below and under those above, with room (members per size) left for the
+    class; class pin[0] takes only the size pin[1].  A module-level
+    generator, so a dropped walk holds no reference cycle."""
+    cls_of, below, above, class_count = classes
+    if ci == len(class_count):
+        yield tuple([assign[c] for c in cls_of])
+        return
+    lo = max([assign[cj] for cj in below[ci]], default=-1)
+    hi = min([assign[cj] for cj in above[ci]], default=sizes[-1] + 1)
+    need = class_count[ci]
+    for i, s in enumerate(sizes):
+        if lo < s < hi and room[i] >= need and (ci != pin[0] or s == pin[1]):
+            assign[ci] = s
+            room[i] -= need
+            yield from _class_sizes(classes, pin, sizes, room, assign, ci + 1)
+            room[i] += need
+
+
 def _embed_by_class_sizes(pool, poset, mode, classes, forced):
     """_find_embedding in the size-constrained modes: give each class a
     set size, then backtrack on images within the sizes, one class-size
@@ -234,7 +259,7 @@ def _embed_by_class_sizes(pool, poset, mode, classes, forced):
     the forced size, then each size's member count capped at |P| (a class
     never needs more, so the cap changes no room test, and it bounds the
     keys by the lattice, not by the calls).  Each call reads the vectors
-    from the first, in the order of the poset._class_sizes walk: those
+    from the first, in the order of the _class_sizes walk: those
     listed by earlier calls, then, while the walk is not spent, the walk
     past them, listing each vector it reaches.  No walk is kept between
     calls, and once a walk is spent its vectors are kept as a tuple."""

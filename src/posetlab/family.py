@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations
 from math import comb
 
 from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
@@ -59,6 +58,14 @@ def mask_of(elements):
     return m
 
 
+def _checked_mask(elements, n, lineno=None):
+    """mask_of(elements); ElementOutOfRange unless each is an int in 1..n."""
+    for e in elements:
+        if not (isinstance(e, int) and 1 <= e <= n):
+            raise ElementOutOfRange(f"element {e!r} outside [1..{n}]", lineno)
+    return mask_of(elements)
+
+
 @cache
 def _byte_text():
     """Row k, entry v: byte k's elements, each with a comma, when it reads v."""
@@ -102,7 +109,9 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n, sets):
-        return cls(n, tuple(mask_of(s) for s in sets))
+        """The family of the given element collections over [n]."""
+        _check_ground(n)
+        return cls(n, tuple(_checked_mask(tuple(s), n) for s in sets))
 
     def __len__(self):
         return len(self.members)
@@ -149,19 +158,6 @@ def inclusion_rows(lower, upper):
             row &= holders[low.bit_length() - 1]
             a ^= low
         yield row
-
-
-def _walk_interval(lower, free, picks, member_set):
-    """The members lower | x, for x each set of r free bits, r in picks
-    ascending, in canonical order: the points of one size are sorted before
-    the members among them are yielded.  embed's interval route lists its
-    candidates with this walk."""
-    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
-    for r in picks:
-        for x in sorted(map(sum, combinations(bits, r))):
-            m = lower | x
-            if m in member_set:
-                yield m
 
 
 def full_layer(n, k):
@@ -269,12 +265,10 @@ def parse_family(text):
             if e is None:
                 raise ParseError(f"bad element {tok.strip()!r}", lineno)
             elems.append(e)
-        for e in elems:
-            if not 1 <= e <= n:
-                raise ElementOutOfRange(f"element {e} outside [1..{n}]", lineno)
+        mask = _checked_mask(elems, n, lineno)
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ParseError("elements must be strictly ascending", lineno)
-        members.append(mask_of(elems))
+        members.append(mask)
     return SetFamily(n, tuple(members))
 
 

@@ -2,17 +2,16 @@
 
 Elements carry opaque string labels.  Posets are capped at 64 elements so
 the full order relation fits in one bitmask per element: ``up[i]`` has bit
-``j`` set iff element i <= element j.  That closure is computed once per
-poset, by ``Poset.up``, from whatever pairs it holds: :func:`poset_from_covers`
-closes raw pairs with it, reads the cycle check and the transitive reduction
-off it and hands it on to the reduced poset; instances are immutable.
+``j`` set iff element i <= element j.  A Poset takes any pairs of the
+intended order: its constructor checks the labels and pairs, closes them
+once through ``Poset.up``, reads the cycle check off that closure and keeps
+the sorted transitive reduction as ``covers``; instances are immutable.
 Everything derived from the order (relation bitmasks, Hasse lists and
 orders, ranks, height, rank classes, permutation patterns) is a cached
 property, computed once per instance, and a table that also depends on an
 argument (a colouring's class table, embed's reference testers) sits in
 the instance's memo under that argument; no module keeps a table keyed by
-a poset.  _class_sizes walks the set sizes a class table can take, for
-embed's size-constrained matcher.
+a poset.
 """
 from __future__ import annotations
 
@@ -30,15 +29,45 @@ TREE_CLASSES = ("not_tree", "tree", "monotone_increasing", "monotone_decreasing"
 
 @dataclass(frozen=True)
 class Poset:
-    """Immutable poset: labels in fixed order plus an irredundant cover list.
+    """Immutable poset: labels in fixed order plus the sorted cover list.
 
-    ``covers`` must already be transitively reduced and acyclic (only
-    ``up`` and ``down`` hold for any pairs); use :func:`poset_from_covers`
-    for raw input.
+    ``covers`` may be given as any pairs (x below y) of the intended order;
+    the stored cover list is the transitive reduction of their reflexive-
+    transitive closure, sorted.  Raises InvalidParam on no labels (every
+    family holds the empty poset, so it forbids nothing), more than
+    MAX_ELEMENTS or a pair with an unknown label, DuplicateLabel on
+    repeated labels, CycleError on a self-relation or a closure that is not
+    antisymmetric.
     """
 
     elements: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        labels = self.elements
+        if not labels:
+            raise InvalidParam("a poset needs at least one element")
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabel("element labels must be unique")
+        if len(labels) > MAX_ELEMENTS:
+            raise InvalidParam(f"at most {MAX_ELEMENTS} elements supported")
+        idx = self.index
+        for a, b in self.covers:
+            if a not in idx or b not in idx:
+                raise InvalidParam(f"cover pair ({a!r}, {b!r}) uses an unknown label")
+            if a == b:
+                raise CycleError(f"self-relation on {a!r}")
+        up, down = self.up, self.down
+        n = len(labels)
+        for i in range(n):
+            if up[i] & down[i] != 1 << i:
+                j = (up[i] & down[i]).bit_length() - 1
+                raise CycleError(f"{labels[i]!r} and {labels[j]!r} lie on a cycle")
+        # j covers i iff the interval [i, j] holds just the two of them; the
+        # reduction has the same closure, so up and down stay cached
+        object.__setattr__(self, "covers", tuple(sorted(
+            (labels[i], labels[j]) for i in range(n) for j in range(n)
+            if i != j and up[i] & down[j] == 1 << i | 1 << j)))
 
     def __len__(self):
         return len(self.elements)
@@ -75,8 +104,8 @@ class Poset:
     @cached_property
     def up(self):
         """up[i]: bitmask of indices j with element_i <= element_j (reflexive):
-        the closure of whatever pairs the poset holds, by Warshall over
-        bitmask rows.  poset_from_covers runs it on raw pairs too."""
+        the closure of the pairs the poset was given, by Warshall over
+        bitmask rows, read first by the constructor."""
         idx = self.index
         up = [1 << i for i in range(len(self.elements))]
         for a, b in self.covers:
@@ -216,70 +245,14 @@ class Poset:
         return self.up[self.index[a]] >> self.index[b] & 1 == 1
 
 
-def _class_sizes(classes, pin, sizes, room, assign, ci=0):
-    """Yield, as the size per element, each assignment of set sizes to the
-    classes of a class table from ci on (those before are in assign): in
-    class order, sizes ascending, strictly above the sizes of the classes
-    below and under those above, with room (members per size) left for the
-    class; class pin[0] takes only the size pin[1].  embed's size-
-    constrained matcher walks it; a module-level generator, so a dropped
-    walk holds no reference cycle."""
-    cls_of, below, above, class_count = classes
-    if ci == len(class_count):
-        yield tuple([assign[c] for c in cls_of])
-        return
-    lo = max([assign[cj] for cj in below[ci]], default=-1)
-    hi = min([assign[cj] for cj in above[ci]], default=sizes[-1] + 1)
-    need = class_count[ci]
-    for i, s in enumerate(sizes):
-        if lo < s < hi and room[i] >= need and (ci != pin[0] or s == pin[1]):
-            assign[ci] = s
-            room[i] -= need
-            yield from _class_sizes(classes, pin, sizes, room, assign, ci + 1)
-            room[i] += need
-
-
 def poset_from_covers(elements, covers):
-    """Build a poset from labels and relation pairs (x below y).
-
-    The pairs may be any subset of the intended order; the stored cover
-    list is the transitive reduction of their reflexive-transitive
-    closure.  Raises CycleError if the closure is not antisymmetric,
-    DuplicateLabel on repeated labels, InvalidParam on no labels: every
-    family holds the empty poset, so it forbids nothing.
-    """
-    labels = tuple(elements)
-    if not labels:
-        raise InvalidParam("a poset needs at least one element")
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel("element labels must be unique")
-    if len(labels) > MAX_ELEMENTS:
-        raise InvalidParam(f"at most {MAX_ELEMENTS} elements supported")
-    idx = {x: i for i, x in enumerate(labels)}
-    pairs = tuple(covers)
-    for a, b in pairs:
-        if a not in idx or b not in idx:
-            raise InvalidParam(f"cover pair ({a!r}, {b!r}) uses an unknown label")
-        if a == b:
-            raise CycleError(f"self-relation on {a!r}")
-    closed = Poset(labels, pairs)
-    up, down = closed.up, closed.down
-    n = len(labels)
-    for i in range(n):
-        if up[i] & down[i] != 1 << i:
-            j = (up[i] & down[i]).bit_length() - 1
-            raise CycleError(f"{labels[i]!r} and {labels[j]!r} lie on a cycle")
-    # j covers i iff the interval [i, j] holds just the two of them
-    p = Poset(labels, tuple(sorted(
-        (labels[i], labels[j]) for i in range(n) for j in range(n)
-        if i != j and up[i] & down[j] == 1 << i | 1 << j)))
-    vars(p).update(index=idx, up=up, down=down)  # the reduction has the same closure
-    return p
+    """The Poset of labels and relation pairs (x below y) given as any iterables."""
+    return Poset(tuple(elements), tuple(covers))
 
 
 def dual(p):
     """The same elements with the order reversed."""
-    return Poset(p.elements, tuple(sorted((b, a) for a, b in p.covers)))
+    return Poset(p.elements, tuple((b, a) for a, b in p.covers))
 
 
 def height(p):
@@ -350,7 +323,7 @@ def y_poset(h, s):
     labels = tuple(f"x{i}" for i in range(1, h + 1)) + tuple(f"y{j}" for j in range(1, s + 1))
     covers = [(f"x{i}", f"x{i + 1}") for i in range(1, h)]
     covers += [(f"x{h}", f"y{j}") for j in range(1, s + 1)]
-    return Poset(labels, tuple(sorted(covers)))
+    return Poset(labels, tuple(covers))
 
 
 def y_prime_poset(h, s):
@@ -379,7 +352,7 @@ def t_r3_poset(r, reading="degree"):
             leaf += 1
             labels.append(f"t{leaf}")
             covers.append((f"m{i}", f"t{leaf}"))
-    return Poset(tuple(labels), tuple(sorted(covers)))
+    return Poset(tuple(labels), tuple(covers))
 
 
 def complete_multilevel(sizes):
@@ -398,7 +371,7 @@ def complete_multilevel(sizes):
     covers = []
     for lo, hi in zip(levels, levels[1:]):
         covers += [(a, b) for a in lo for b in hi]
-    return Poset(tuple(labels), tuple(sorted(covers)))
+    return Poset(tuple(labels), tuple(covers))
 
 
 # Every name of a kind, for named:K(...) and `poset gen --kind K` alike.
@@ -449,8 +422,6 @@ def is_isomorphic(p, q):
     if len(p) != len(q) or len(p.covers) != len(q.covers) or (
             p.refined_signature != q.refined_signature):
         return False
-    if not p.elements:  # no Hasse walk to start
-        return True
     from .embed import _backtrack_images, _Pool  # embed imports this module
     from .family import canonical_key
 
@@ -516,10 +487,8 @@ def all_height2_tree_posets(t):
 # JSON file format: {"elements": [...], "covers": [["a","b"], ...]}.
 
 def poset_to_json(p):
-    """Canonical JSON text: elements as given, covers lexicographic."""
-    return json.dumps(
-        {"elements": list(p.elements), "covers": [list(c) for c in sorted(p.covers)]}
-    )
+    """Canonical JSON text: elements as given, covers as stored (sorted)."""
+    return json.dumps({"elements": list(p.elements), "covers": [list(c) for c in p.covers]})
 
 
 def _is_labels(value):

@@ -19,6 +19,7 @@ from .chains import (
     pair_count,
 )
 from .embed import (
+    Embedding,
     InclusionBigraph,
     check_embedding,
     find_copy,
@@ -343,6 +344,15 @@ def check_small_n_oracle():
     )
 
 
+def _outcome(route, fam, poset, mode, coloring):
+    """What one matcher route answers: its copy, None, or "not_graded" when
+    it raises NotGraded (rank-preserving mode on a poset that is not)."""
+    try:
+        return route(fam, poset, mode, coloring)
+    except NotGraded:
+        return "not_graded"
+
+
 def check_copy_detector(triples, seed):
     rng = random.Random(seed)
     built = {}  # at most 75 distinct draws: posets are immutable, so shared
@@ -355,30 +365,13 @@ def check_copy_detector(triples, seed):
         coloring = None
         if mode == "colored":
             coloring = rank_coloring(poset)
-        if mode == "rank_preserving" and not poset.graded:
-            try:
-                find_copy(fam, poset, mode)
-                got = "found"
-            except NotGraded:
-                got = "not_graded"
-            try:
-                find_copy_bruteforce(fam, poset, mode)
-                want = "found"
-            except NotGraded:
-                want = "not_graded"
-            if got != want:
-                disagreements += 1
-            tested += 1
-            continue
-        fast = find_copy(fam, poset, mode, coloring)
-        slow = find_copy_bruteforce(fam, poset, mode, coloring)
-        if (fast is None) != (slow is None):
-            disagreements += 1
-        elif fast is not None:
-            if not check_embedding(poset, fast.mapping, mode, coloring, fam):
-                disagreements += 1
-            if not check_embedding(poset, slow.mapping, mode, coloring, fam):
-                disagreements += 1
+        fast = _outcome(find_copy, fam, poset, mode, coloring)
+        slow = _outcome(find_copy_bruteforce, fam, poset, mode, coloring)
+        if isinstance(fast, Embedding) and isinstance(slow, Embedding):
+            for e in (fast, slow):
+                disagreements += not check_embedding(poset, e.mapping, mode, coloring, fam)
+        else:
+            disagreements += fast != slow
         tested += 1
     return CheckResult(
         "copy_detector_oracle",

@@ -387,13 +387,14 @@ def test_interval_route_matches_bruteforce_and_the_scan(rng, monkeypatch):
     find_copy, creates_copy_through and saturation_check give the verdicts
     of the permutation matcher and the witnesses of the scan."""
     walks = Counter()
-    walk = embed._walk_interval
+    route = embed._interval_members
 
-    def counted(*args):
-        walks[mode] += 1
-        return walk(*args)
+    def counted(cand, *args):
+        listed = route(cand, *args)
+        walks[mode] += listed is not cand
+        return listed
 
-    monkeypatch.setattr(embed, "_walk_interval", counted)
+    monkeypatch.setattr(embed, "_interval_members", counted)
 
     def route_and_scan(call):
         monkeypatch.setattr(embed, "_INTERVAL_MIN", 0)
@@ -463,13 +464,14 @@ F23_THROUGH_PINNED = [
 
 def test_detect_checks_at_full_size_are_pinned(monkeypatch):
     walks = Counter()
-    walk = embed._walk_interval
+    route = embed._interval_members
 
-    def counted(*args):
-        walks["all"] += 1
-        return walk(*args)
+    def counted(cand, *args):
+        listed = route(cand, *args)
+        walks["all"] += listed is not cand
+        return listed
 
-    monkeypatch.setattr(embed, "_walk_interval", counted)
+    monkeypatch.setattr(embed, "_interval_members", counted)
     m8, m11, m12, f23 = (middle_layers(8, 2), middle_layers(11, 2), middle_layers(12, 2),
                          f23_construction(12))
     assert saturation_check(m11, Y22_PAIR, "rank_preserving") == SaturationResult(True, None)

@@ -52,6 +52,12 @@ def test_mask_out_of_range():
         SetFamily(25, ())
 
 
+@pytest.mark.parametrize("sets", [[[0]], [[4]], [[1, -2]], [[1.0]], [["1"]], [[None]]])
+def test_from_sets_rejects_an_element_outside_the_ground_set(sets):
+    with pytest.raises(ElementOutOfRange, match=r"outside \[1\.\.3\]"):
+        SetFamily.from_sets(3, sets)
+
+
 def test_sigma_values():
     assert sigma(4, 2) == 10
     assert sigma(5, 2) == 20

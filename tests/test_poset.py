@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from posetlab.embed import find_copy
 from posetlab.errors import CycleError, DuplicateLabel, InvalidColoring, InvalidParam, NotGraded
+from posetlab.family import SetFamily
 from posetlab.poset import (
     Poset,
     all_height2_tree_posets,
@@ -72,6 +74,41 @@ def test_empty_poset_rejected():
 def test_transitive_reduction_drops_implied_pair():
     p = poset_from_covers("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
+
+
+@pytest.mark.parametrize("elements, pairs, error", [
+    (("a", "b"), (("a", "b"), ("b", "a")), CycleError),
+    (("a",), (("a", "a"),), CycleError),
+    (("a", "a"), (), DuplicateLabel),
+    (("a",), (("a", "zzz"),), InvalidParam),
+    ((), (), InvalidParam),
+    (tuple(f"e{i}" for i in range(65)), (), InvalidParam),
+])
+def test_direct_construction_raises_typed_errors(elements, pairs, error):
+    with pytest.raises(error):
+        Poset(elements, pairs)
+    with pytest.raises(error):
+        poset_from_covers(elements, pairs)
+
+
+def test_direct_construction_reduces_a_redundant_pair():
+    p = Poset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+    assert p.covers == (("a", "b"), ("b", "c"))
+    assert p.graded and classify_tree(p) == "monotone_increasing"
+    assert is_isomorphic(p, chain(3))
+    fam = SetFamily.from_sets(3, [[1], [1, 2], [1, 2, 3]])
+    assert find_copy(fam, p, "rank_preserving").mapping == {"a": 1, "b": 3, "c": 7}
+
+
+@given(dag_covers())
+def test_direct_construction_from_every_pair_of_the_order(data):
+    labels, pairs = data
+    reduced = poset_from_covers(labels, pairs)
+    order = tuple((a, b) for a in labels for b in labels if a != b and reduced.le(a, b))
+    full = Poset(tuple(labels), order)
+    assert full == reduced
+    assert (full.graded, full.ranks, classify_tree(full)) == (
+        reduced.graded, reduced.ranks, classify_tree(reduced))
 
 
 @given(dag_covers())
@@ -346,7 +383,8 @@ def test_is_isomorphic():
     assert is_isomorphic(relabeled, y_poset(1, 2))
     assert not is_isomorphic(y_poset(1, 2), y_prime_poset(1, 2))
     assert is_isomorphic(dual(dual(t_r3_poset(2))), t_r3_poset(2))
-    assert is_isomorphic(Poset((), ()), Poset((), ()))
+    with pytest.raises(InvalidParam):
+        is_isomorphic(Poset((), ()), Poset((), ()))
 
 
 def test_is_isomorphic_above_the_family_cap():
@@ -484,11 +522,15 @@ def test_height2_tree_catalogue_against_networkx():
 
 
 def test_json_round_trip():
-    p = y_poset(2, 3)
-    text = poset_to_json(p)
-    assert poset_from_json(text) == p
-    obj = json.loads(text)
-    assert obj["covers"] == sorted(obj["covers"])
+    """Every generator stores its covers sorted, so each equals its round
+    trip (chain(k) from k = 10 on sorts "x10" before "x2")."""
+    for p in (y_poset(2, 3), chain(12), antichain(3), y_prime_poset(2, 3), t_r3_poset(3),
+              t_r3_poset(3, "children"), complete_multilevel([2, 3, 2])):
+        text = poset_to_json(p)
+        assert poset_from_json(text) == p
+        assert p.covers == tuple(sorted(p.covers))
+        obj = json.loads(text)
+        assert obj["covers"] == sorted(obj["covers"])
 
 
 def test_json_malformed():
