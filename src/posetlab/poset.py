@@ -31,8 +31,9 @@ TREE_CLASSES = ("not_tree", "tree", "monotone_increasing", "monotone_decreasing"
 class Poset:
     """Immutable poset: labels in fixed order plus the sorted cover list.
 
-    ``covers`` may be given as any pairs (x below y) of the intended order;
-    the stored cover list is the transitive reduction of their reflexive-
+    ``elements`` may be any iterable of labels, stored as a tuple, and
+    ``covers`` any pairs (x below y) of the intended order; the stored
+    cover list is the transitive reduction of their reflexive-
     transitive closure, sorted.  Raises InvalidParam on no labels (every
     family holds the empty poset, so it forbids nothing), more than
     MAX_ELEMENTS or a pair with an unknown label, DuplicateLabel on
@@ -44,7 +45,9 @@ class Poset:
     covers: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        labels = self.elements
+        labels = tuple(self.elements)
+        object.__setattr__(self, "elements", labels)
+        object.__setattr__(self, "covers", tuple(self.covers))
         if not labels:
             raise InvalidParam("a poset needs at least one element")
         if len(set(labels)) != len(labels):
@@ -247,7 +250,7 @@ class Poset:
 
 def poset_from_covers(elements, covers):
     """The Poset of labels and relation pairs (x below y) given as any iterables."""
-    return Poset(tuple(elements), tuple(covers))
+    return Poset(elements, covers)
 
 
 def dual(p):

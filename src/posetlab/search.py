@@ -12,7 +12,10 @@ bound, tightened when the forbidden pair is a Y poset together with its
 dual: once the included family has a chain of h sets ending at T, at most
 s-1 further supersets of T fit (per size class in rank-preserving mode, in
 total in weak mode).  The remaining supersets of T are counted by
-bisecting per-T lists of candidate indices.
+bisecting per-T lists of candidate indices.  Symmetry pruning (n <=
+MAX_SYMMETRY_N) ends each branch whose family is not lex-minimal in its
+orbit under coordinate permutations, as orderly generation does; the first
+largest family is lex-minimal, so value and witness stay.
 
 The branch routine keeps pending branches on an explicit stack, not the
 call stack, so exclude chains 2^n deep stay clear of the recursion limit
@@ -76,16 +79,18 @@ def _detect_y_pair(forbidden):
 
 
 @lru_cache(maxsize=4)
-def _perm_tables(n):
-    """mask -> permuted mask, one table per coordinate permutation of [n]."""
-    tables = []
-    for perm in permutations(range(n)):
-        t = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = (m & -m).bit_length() - 1
-            t[m] = t[m & (m - 1)] | 1 << perm[low]
-        tables.append(t)
-    return tuple(tables)
+def _perm_bits(n):
+    """mask -> 1 << the canonical index of its image under each coordinate
+    permutation of [n] (itertools order, identity first); the entries for
+    one candidate are one shared int."""
+    perms = list(permutations(range(n)))
+    rows = [[0] * len(perms)]  # rows[mask]: its image masks
+    for e in range(n):  # a mask with top element e: the one without e, plus e
+        rows += [[x | 1 << p[e] for x, p in zip(row, perms)] for row in rows]
+    bit = {m: 1 << c for c, m in enumerate(canonical_masks(n))}
+    for row in rows:
+        row[:] = map(bit.__getitem__, row)
+    return rows
 
 
 class _Searcher:
@@ -98,7 +103,7 @@ class _Searcher:
         self.symmetry = cfg.symmetry_pruning
         if self.symmetry and n > MAX_SYMMETRY_N:
             raise InvalidParam(f"symmetry pruning supported for n <= {MAX_SYMMETRY_N}")
-        self.tables = _perm_tables(n) if self.symmetry else None
+        self.perm_bits = _perm_bits(n) if self.symmetry else None
         self.cap = None
         if mode in ("weak", "rank_preserving"):
             self.cap = _detect_y_pair(forbidden)
@@ -202,13 +207,15 @@ class _Searcher:
         return index
 
     def _lex_minimal(self):
-        cur = tuple(self.pool.members)
-        cur_key = tuple(sorted((m.bit_count(), m) for m in cur))
-        for table in self.tables:
-            mapped = tuple(sorted((table[m].bit_count(), table[m]) for m in cur))
-            if mapped < cur_key:
-                return False
-        return True
+        """False iff a coordinate permutation maps the family to one first in
+        canonical order.  Both are equal-size sets of candidate bits; below
+        their lowest differing bit they agree, and there one has that bit
+        and the other only higher ones, so the image sorts first exactly
+        when the lowest bit of image ^ family lies in the image."""
+        rows = [self.perm_bits[m] for m in self.pool.members]
+        images = list(map(sum, zip(*rows)))  # distinct sets, so disjoint bits
+        family = images[0]  # the identity's image
+        return not any((d := image ^ family) & -d & image for image in images)
 
 
 def la_exact(n, forbidden, mode="weak", cfg=None, coloring=None):

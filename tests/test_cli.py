@@ -234,6 +234,26 @@ def test_removed_search_flags_are_rejected(capsys, flag):
     assert "unrecognized arguments" in err
 
 
+def test_search_la_symmetry_keeps_the_witness(tmp_path, capsys):
+    """--symmetry explores fewer nodes and writes the plain run's witness."""
+    witnesses, nodes = [], []
+    for extra in ((), ("--symmetry",)):
+        wit = tmp_path / f"wit{len(extra)}.txt"
+        code, out, err = run_cli(
+            capsys, "search", "la", "--n", "4", "--forbid", "named:y(2,2)",
+            "--forbid", "named:y'(2,2)", "--mode", "rp", "--emit-witness", str(wit), *extra,
+        )
+        assert code == 0 and err == ""
+        witnesses.append(wit.read_bytes())
+        nodes.append(json.loads(out)["nodesExplored"])
+    assert witnesses[0] == witnesses[1]
+    assert nodes == [2399, 389]
+    code, out, err = run_cli(capsys, "search", "la", "--n", "8", "--forbid", "named:chain(2)",
+                             "--symmetry")
+    assert code == 2 and out == ""
+    assert err.startswith("posetlab: ") and err.count("\n") == 1
+
+
 def test_search_la_rp_mode_alias(capsys):
     code, out, _ = run_cli(
         capsys, "search", "la", "--n", "4", "--forbid", "named:y(2,2)",

@@ -169,6 +169,11 @@ def test_parse_family_basic():
     assert fam.members == (0b100, 0b011)
     empty = parse_family("n=4\n-\n")
     assert empty.members == (0,)
+    # blank lines are skipped but still counted for the line numbers
+    assert parse_family("n=3\n1,2\n\n  \n3\n") == fam
+    with pytest.raises(ElementOutOfRange) as err:
+        parse_family("n=3\n\n4\n")
+    assert err.value.lineno == 3
 
 
 def test_parse_family_errors():

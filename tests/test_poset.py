@@ -100,6 +100,17 @@ def test_direct_construction_reduces_a_redundant_pair():
     assert find_copy(fam, p, "rank_preserving").mapping == {"a": 1, "b": 3, "c": 7}
 
 
+def test_direct_construction_takes_any_iterables():
+    """Labels and pairs from a list, a str or a generator are stored as
+    tuples: the poset equals the tuple-built one and is hashable."""
+    want = poset_from_covers(("a", "b"), (("a", "b"),))
+    for elements, pairs in ((["a", "b"], [["a", "b"]]), ("ab", [("a", "b")]),
+                            ((x for x in "ab"), (pair for pair in [("a", "b")]))):
+        p = Poset(elements, pairs)
+        assert p == want and hash(p) == hash(want)
+        assert p.elements == ("a", "b") and p.covers == (("a", "b"),)
+
+
 @given(dag_covers())
 def test_direct_construction_from_every_pair_of_the_order(data):
     labels, pairs = data

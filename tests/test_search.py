@@ -99,6 +99,25 @@ def test_search_tree_is_pinned_with_the_interval_route(mode, forbidden, coloring
     assert (out.value, out.nodes_explored, out.witness.members) == pinned
 
 
+# (n, forbidden, mode) -> (value, nodes_explored, witness members) with
+# symmetry pruning.  Each witness is the plain search's too: the first
+# largest free family in canonical order is lex-minimal in its orbit.
+PINNED_SYMMETRIC_TREES = [
+    (5, (Y12, Y12P), "weak", (12, 1210, (3, 5, 6, 9, 10, 12, 19, 21, 22, 25, 26, 28))),
+    (5, (C2,), "weak", (10, 1405, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24))),
+    (4, (Y22, Y22P), "rank_preserving", (10, 389, (1, 2, 4, 8, 3, 5, 6, 9, 10, 12))),
+    (5, (Y22, Y22P), "weak",
+     (20, 7449, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28))),
+]
+
+
+@pytest.mark.parametrize("n,forbidden,mode,pinned", PINNED_SYMMETRIC_TREES)
+def test_symmetric_search_tree_is_pinned(n, forbidden, mode, pinned):
+    out = la_exact(n, forbidden, mode, SearchConfig(symmetry_pruning=True))
+    assert out.exact
+    assert (out.value, out.nodes_explored, out.witness.members) == pinned
+
+
 @settings(max_examples=100)
 @given(forbidden=st.lists(posets(max_elements=4), min_size=1, max_size=2),
        n=st.integers(1, 4), mode=st.sampled_from(MODES), symmetry=st.booleans(),

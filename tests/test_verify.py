@@ -4,7 +4,12 @@ import random
 import pytest
 
 from posetlab.errors import InvalidParam
-from posetlab.verify import _random_poset, run_suite
+from posetlab.verify import (
+    _random_poset,
+    check_middle_saturation,
+    check_small_n_oracle,
+    run_suite,
+)
 
 
 def test_built_posets_keep_the_corpus():
@@ -22,3 +27,16 @@ def test_built_posets_keep_the_corpus():
 def test_run_suite_rejects_unknown_suite_names(suite):
     with pytest.raises(InvalidParam, match="unknown suite"):
         run_suite(suite=suite, max_n=2)
+
+
+def test_small_n_oracle_check_passes_with_the_pinned_value():
+    """Only `verify paper --suite all` runs this check."""
+    res = check_small_n_oracle()
+    assert res.passed
+    assert res.observed["y22pair_rank_preserving"] == "10"
+
+
+def test_middle_saturation_check_reaches_n7():
+    res = check_middle_saturation(7)
+    assert res.passed
+    assert res.observed["perN"] == {str(n): "free=True,saturated=True" for n in (5, 6, 7)}
