@@ -52,7 +52,13 @@ so every later candidate is filtered against it) and removes it again.
 The check entry points live here too: verify_free runs find_copy per
 forbidden poset, and saturation_check probes every outside set in
 canonical order through _copy_through, with no family built per probe.
-`check free` and `check saturated` need only this module, family and
+Where lattice.route applies (weak or rank-preserving mode, no colouring,
+every forbidden poset a chain of at least 2 elements, a Y(h,s) or a
+Y'(h,s), and len(fam) >= 2^n / 64), lattice's whole-lattice maps decide
+instead: which posets have a copy, and the first outside set in canonical
+order that creates none.  A copy they find is still found by find_copy,
+so every witness, counterexample and NotFree is the matcher's.  `check
+free` and `check saturated` need only this module, lattice, family and
 poset; search re-exports the three names for older callers.
 
 Two more callers use the same parts.  poset.is_isomorphic runs
@@ -73,6 +79,7 @@ from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 
+from . import lattice
 from .errors import (
     AlreadyMember,
     ElementOutOfRange,
@@ -377,9 +384,14 @@ def creates_copy_through(fam, poset, mode, new_mask, coloring=None):
 
 
 def verify_free(fam, forbidden, mode="weak", coloring=None):
-    """(True, None) when no forbidden poset has a copy, else (False, witness)."""
-    for p in forbidden:
-        witness = find_copy(fam, p, mode, coloring)
+    """(True, None) when no forbidden poset has a copy, else (False, witness).
+    Where lattice.route applies, its maps rule posets out, and find_copy
+    runs only on the first poset they find a copy of."""
+    forbidden = tuple(forbidden)  # read twice below
+    shapes = lattice.route(fam, forbidden, mode, coloring)
+    found = [True] * len(forbidden) if shapes is None else lattice.copies(fam, shapes, mode)
+    for p, copy in zip(forbidden, found):
+        witness = find_copy(fam, p, mode, coloring) if copy else None
         if witness is not None:
             return False, witness
     return True, None
@@ -400,6 +412,10 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
     free, witness = verify_free(fam, forbidden, mode, coloring)
     if not free:
         raise NotFree(witness)
+    shapes = lattice.route(fam, forbidden, mode, coloring)
+    if shapes is not None:
+        missing = lattice.first_uncreated(fam, shapes, mode)
+        return SaturationResult(missing is None, missing)
     tables = [(p, _class_setup(p, mode, coloring)) for p in forbidden]
     pool = _Pool.copy_of(fam)
     for s in canonical_masks(fam.n):

@@ -100,12 +100,15 @@ class SetFamily:
 
     def __post_init__(self):
         _check_ground(self.n)
-        full = (1 << self.n) - 1
-        for m in self.members:
+        n, members = self.n, tuple(self.members)
+        full = (1 << n) - 1
+        for m in members:
             if m < 0 or m > full:
-                raise ElementOutOfRange(f"mask {m} does not fit in [{self.n}]")
-        ordered = tuple(sorted(set(self.members), key=canonical_key))
-        object.__setattr__(self, "members", ordered)
+                raise ElementOutOfRange(f"mask {m} does not fit in [{n}]")
+        keys = [m.bit_count() << n | m for m in members]  # canonical order, as ints
+        if not all(map(int.__lt__, keys, keys[1:])):  # not already strictly ascending
+            members = tuple(sorted(set(members), key=canonical_key))
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_sets(cls, n, sets):
@@ -251,25 +254,42 @@ def parse_family(text):
     if n is None:
         raise ParseError(f"expected n=<int> header, got {header!r}", 1)
     _check_ground(n)
+    bit = {str(e): 1 << e - 1 for e in range(1, n + 1)}
+    bit["-"] = 0
+    bit_of = bit.__getitem__
     members = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "-":
-            members.append(0)
-            continue
-        elems = []
-        for tok in line.split(","):
-            e = _decimal(tok.strip(), lineno)
-            if e is None:
-                raise ParseError(f"bad element {tok.strip()!r}", lineno)
-            elems.append(e)
-        mask = _checked_mask(elems, n, lineno)
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ParseError("elements must be strictly ascending", lineno)
+        # a line as serialize_family writes it: each token's bit, then the
+        # line must be the mask's own text; anything else takes _parse_line
+        try:
+            mask = sum(map(bit_of, raw.split(",")))
+        except KeyError:
+            mask = None
+        if mask is None or raw != (_elements_text(mask) or "-"):
+            mask = _parse_line(raw, n, lineno)
+            if mask is None:
+                continue
         members.append(mask)
     return SetFamily(n, tuple(members))
+
+
+def _parse_line(raw, n, lineno):
+    """The member a family-file line names, None for a blank line."""
+    line = raw.strip()
+    if not line:
+        return None
+    if line == "-":
+        return 0
+    elems = []
+    for tok in line.split(","):
+        e = _decimal(tok.strip(), lineno)
+        if e is None:
+            raise ParseError(f"bad element {tok.strip()!r}", lineno)
+        elems.append(e)
+    mask = _checked_mask(elems, n, lineno)
+    if any(a >= b for a, b in zip(elems, elems[1:])):
+        raise ParseError("elements must be strictly ascending", lineno)
+    return mask
 
 
 def serialize_family(fam):

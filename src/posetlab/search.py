@@ -9,10 +9,11 @@ saturation_check (with SaturationResult) live in embed, so the `check`
 commands never load this module; they are re-exported here for callers
 that import them from search.  The upper bound is the trivial cardinality
 bound, tightened when the forbidden pair is a Y poset together with its
-dual: once the included family has a chain of h sets ending at T, at most
-s-1 further supersets of T fit (per size class in rank-preserving mode, in
-total in weak mode).  The remaining supersets of T are counted by
-bisecting per-T lists of candidate indices.  Symmetry pruning (n <=
+dual, as lattice.shape reads them off the order (for s = 1 both are the
+chain of h + 1 elements): once the included family has a chain of h sets
+ending at T, at most s-1 further supersets of T fit (per size class in
+rank-preserving mode, in total in weak mode).  The remaining supersets of
+T are counted by bisecting per-T lists of candidate indices.  Symmetry pruning (n <=
 MAX_SYMMETRY_N) ends each branch whose family is not lex-minimal in its
 orbit under coordinate permutations, as orderly generation does; the first
 largest family is lex-minimal, so value and witness stay.
@@ -41,7 +42,8 @@ from .embed import (
 from .embed import SaturationResult, saturation_check, verify_free  # noqa: F401
 from .errors import InvalidParam
 from .family import SetFamily, canonical_masks, middle_layers
-from .poset import height, is_isomorphic, y_poset, y_prime_poset
+from .lattice import shape
+from .poset import height
 
 MAX_SEARCH_N = 12
 MAX_EXHAUSTIVE_N = 4
@@ -65,16 +67,14 @@ class SearchOutcome:
 
 
 def _detect_y_pair(forbidden):
-    """(h, s) when the forbidden set is exactly a Y poset and its dual."""
+    """(h, s) when the forbidden set is exactly a Y poset and its dual, read
+    by lattice.shape.  With s = 1 both are the chain of h + 1 elements, so
+    two equal chains of at least 2 elements count too."""
     if len(forbidden) != 2:
         return None
-    for p, q in ((forbidden[0], forbidden[1]), (forbidden[1], forbidden[0])):
-        h = height(p) - 1
-        s = len(p.elements) - h
-        if h < 1 or s < 1 or len(q.elements) != h + s:
-            continue
-        if is_isomorphic(p, y_poset(h, s)) and is_isomorphic(q, y_prime_poset(h, s)):
-            return h, s
+    a, b = map(shape, forbidden)
+    if a and b and a[:2] == b[:2] and (a[1] == 1 or a[2] != b[2]):
+        return a[:2]
     return None
 
 

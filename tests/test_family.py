@@ -176,6 +176,17 @@ def test_parse_family_basic():
     assert err.value.lineno == 3
 
 
+def test_parse_family_reads_lines_off_the_canonical_text():
+    """Lines other than a mask's own text are read element by element:
+    spaces, leading zeros, "-" among elements and repeats."""
+    assert parse_family("n=12\n 1, 2\n03\n10,11,12\n").members == (0b100, 0b011, 0b111 << 9)
+    for line, error in (("1,1", ParseError), ("-,1", ParseError), ("13", ElementOutOfRange),
+                        ("1,-", ParseError), ("1,2,", ParseError)):
+        with pytest.raises(error) as err:
+            parse_family(f"n=12\n5\n{line}\n")
+        assert err.value.lineno == 3
+
+
 def test_parse_family_errors():
     with pytest.raises(ParseError):
         parse_family("m=3\n1\n")
@@ -214,6 +225,17 @@ def test_serialize_canonical():
 @given(families(max_n=6))
 def test_parse_serialize_round_trip(fam):
     assert parse_family(serialize_family(fam)) == fam
+
+
+@given(families(max_n=8), st.randoms(use_true_random=False))
+def test_member_order_and_repeats_give_the_same_family(fam, rnd):
+    canonical = list(fam.members)
+    shuffled = rnd.sample(canonical, len(canonical))
+    repeated = shuffled + [rnd.choice(canonical) for _ in canonical[::2]]
+    for members in (canonical, shuffled, repeated):
+        got = SetFamily(fam.n, tuple(members))
+        assert got == fam
+        assert got.members == tuple(sorted(set(canonical), key=canonical_key))
 
 
 @st.composite
