@@ -156,12 +156,10 @@ def _cmd_family_gen(args):
         fam = family.middle_layers(args.n, args.h)
     elif args.kind == "f23":
         fam = family.f23_construction(args.n)
-    elif args.kind == "lubell_tail":
+    else:  # lubell_tail, the last of --kind's choices
         if args.h is None:
             raise UsageError("family gen --kind lubell_tail needs --h")
         fam = family.lubell_tail_family(args.n, args.h)
-    else:
-        raise UsageError(f"unknown family kind {args.kind!r}")
     _write_text(family.serialize_family(fam), args.out)
     return 0
 

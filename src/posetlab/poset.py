@@ -6,12 +6,13 @@ the full order relation fits in one bitmask per element: ``up[i]`` has bit
 intended order: its constructor checks the labels and pairs, closes them
 once through ``Poset.up``, reads the cycle check off that closure and keeps
 the sorted transitive reduction as ``covers``; instances are immutable.
-Everything derived from the order (relation bitmasks, Hasse lists and
-orders, ranks, height, rank classes, permutation patterns) is a cached
-property, computed once per instance, and a table that also depends on an
-argument (a colouring's class table, embed's reference testers) sits in
-the instance's memo under that argument; no module keeps a table keyed by
-a poset.
+Everything derived from the order (ranks, height, rank classes, minimal
+and maximal elements, permutation patterns) is read off ``up`` and
+``down``, and only the Hasse neighbours and walks off ``covers``.  Each is
+a cached property, computed once per instance, and a table that also
+depends on an argument (a colouring's class table, embed's reference
+testers) sits in the instance's memo under that argument; no module keeps
+a table keyed by a poset.
 """
 from __future__ import annotations
 
@@ -80,29 +81,14 @@ class Poset:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def cover_children(self):
-        """cover_children[i] = sorted indices j with element_i covered-by element_j."""
-        succ = [[] for _ in self.elements]
-        idx = self.index
-        for a, b in self.covers:
-            succ[idx[a]].append(idx[b])
-        return tuple(tuple(sorted(s)) for s in succ)
-
-    @cached_property
-    def cover_parents(self):
-        pred = [[] for _ in self.elements]
-        idx = self.index
-        for a, b in self.covers:
-            pred[idx[b]].append(idx[a])
-        return tuple(tuple(sorted(p)) for p in pred)
-
-    @cached_property
     def neighbours(self):
         """neighbours[i] = sorted indices joined to i by a Hasse edge, either way."""
-        return tuple(
-            tuple(sorted(self.cover_parents[i] + self.cover_children[i]))
-            for i in range(len(self.elements))
-        )
+        idx = self.index
+        joined = [[] for _ in self.elements]
+        for a, b in self.covers:
+            joined[idx[a]].append(idx[b])
+            joined[idx[b]].append(idx[a])
+        return tuple(tuple(sorted(j)) for j in joined)
 
     @cached_property
     def up(self):
@@ -133,12 +119,15 @@ class Poset:
 
     @cached_property
     def ranks(self):
-        """ranks[i]: length of the longest chain strictly below element i.
-        Elements below i reach fewer elements down, so they are ranked first."""
-        parents, down = self.cover_parents, self.down
-        rank = [0] * len(parents)
-        for i in sorted(range(len(parents)), key=lambda i: down[i].bit_count()):
-            rank[i] = 1 + max((rank[j] for j in parents[i]), default=-1)
+        """ranks[i]: length of the longest chain strictly below element i, one
+        more than the largest rank in its strict down-set.  Elements below i
+        reach fewer elements down, so they are ranked first."""
+        down = self.down
+        n = len(down)
+        rank = [0] * n
+        for i in sorted(range(n), key=lambda i: down[i].bit_count()):
+            rank[i] = 1 + max([rank[j] for j in range(n) if down[i] >> j & 1 and j != i],
+                              default=-1)
         return tuple(rank)
 
     @cached_property
@@ -285,8 +274,8 @@ def classify_tree(p):
         if placed and placed.isdisjoint(p.neighbours[i]):
             return "not_tree"
         placed.add(i)
-    minimal = [i for i in range(n) if not p.cover_parents[i]]
-    maximal = [i for i in range(n) if not p.cover_children[i]]
+    minimal = [i for i in range(n) if p.down[i] == 1 << i]
+    maximal = [i for i in range(n) if p.up[i] == 1 << i]
     if len(minimal) == 1:
         return "monotone_increasing"
     if len(maximal) == 1:

@@ -22,6 +22,9 @@ The branch routine keeps pending branches on an explicit stack, not the
 call stack, so exclude chains 2^n deep stay clear of the recursion limit
 for every n up to MAX_SEARCH_N.  It walks the whole tree in one process:
 the explored-node sequence, value and witness are all deterministic.
+
+exhaustive_max_free closes the tester's copy images upward on lattice's
+bitmaps, one bit per family; max_free_layers asks verify_free.
 """
 from __future__ import annotations
 
@@ -31,18 +34,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .embed import (
-    _class_setup,
-    _copy_through,
-    _copy_tester,
-    _Pool,
-    find_copy,
-)
+from .embed import _class_setup, _copy_through, _copy_tester, _Pool, verify_free
 # The check entry points live in embed; callers may still import them here.
-from .embed import SaturationResult, saturation_check, verify_free  # noqa: F401
+from .embed import SaturationResult, saturation_check  # noqa: F401
 from .errors import InvalidParam
 from .family import SetFamily, canonical_masks, middle_layers
-from .lattice import shape
+from .lattice import _bitmap, _layers, _strict, shape
 from .poset import height
 
 MAX_SEARCH_N = 12
@@ -244,45 +241,38 @@ def exhaustive_max_free(n, forbidden, mode="weak", coloring=None):
     close upward over all 2^(2^n) families, read off the largest unmarked,
     the first in numeric order of its size.
 
-    Family F (bit c set iff it holds canonical candidate c) is byte F of one
-    int, 1 when marked.  The closure takes one shift-OR per candidate: the
-    bytes of the families without c, moved up by 2^c bytes, mark F plus c."""
+    Family F (bit c set iff it holds canonical candidate c) is bit F of a
+    lattice bitmap in dimension 2^n, so lattice's strict up-closure marks
+    every family above a marked one, and its top size layer that holds an
+    unmarked family holds the first such family at its lowest bit."""
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise InvalidParam(f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}")
     forbidden = tuple(forbidden)
     masks = list(canonical_masks(n))
     m = len(masks)
-    direct = bytearray(1 << m)
+    marked = set()
     for p in forbidden:
         first = _copy_tester(p, mode, coloring)  # raises the mode's errors
-        k = len(p.elements)
-        if k > m:
-            continue
-        for combo in combinations(range(m), k):
+        for combo in combinations(range(m), len(p.elements)):
             bits = sum([1 << c for c in combo])
-            if not direct[bits] and first([masks[c] for c in combo]) is not None:
-                direct[bits] = 1
-    viol = int.from_bytes(direct, "little")
-    for c in range(m):
-        without_c = int.from_bytes((b"\1" * (1 << c) + bytes(1 << c)) * (1 << m - c - 1), "little")
-        viol |= (viol & without_c) << (8 << c)
-    sizes, one_more = bytearray(1), bytes(range(1, 256)) + b"\0"  # sizes[F] = |F|
-    for _ in range(m):  # the families with candidate c hold one set more
-        sizes += sizes.translate(one_more)
-    free = (1 << (8 << m)) - 1 - viol * 255  # byte F is 255 when F is unmarked, else 0
-    score = (int.from_bytes(sizes, "little") & free).to_bytes(1 << m, "little")
-    best = max(score)
-    best_bits = score.index(best)  # the empty family, unmarked, when best is 0
+            if bits not in marked and first([masks[c] for c in combo]) is not None:
+                marked.add(bits)
+    viol = _bitmap(marked, m)
+    free = ~(viol | _strict(viol, m, True))
+    best, top = max((k, layer & free) for k, layer in enumerate(_layers(m))
+                    if layer & free)  # the empty family, unmarked, when best is 0
+    best_bits = (top & -top).bit_length() - 1
     witness = SetFamily(n, tuple(masks[c] for c in range(m) if best_bits >> c & 1))
     return SearchOutcome(best, witness, 1 << m, mode, forbidden, True)
 
 
 def max_free_layers(poset, n, mode="weak", coloring=None):
     """Largest k such that the k middle layers of [n] avoid the poset in the
-    given mode; 0 when even a single layer contains a copy.  Fewer layers
-    than the height of the poset hold no copy, so the scan starts there."""
+    given mode, decided by verify_free; 0 when even a single layer contains
+    a copy.  Fewer layers than the height of the poset hold no copy, so the
+    scan starts there."""
     _class_setup(poset, mode, coloring)  # the mode's errors before any scan
     for h in range(max(1, height(poset)), n + 2):
-        if find_copy(middle_layers(n, h), poset, mode, coloring) is not None:
+        if not verify_free(middle_layers(n, h), [poset], mode, coloring)[0]:
             return h - 1
     return n + 1

@@ -250,11 +250,15 @@ def check_f23():
         free, _ = verify_free(fam, forb, "weak")
         beats = len(fam) > math.comb(n, n // 2)
         formula = f23_formula_size(n)
+        # the half-sets without both pins, plus the (n/2 + 1)-sets with both
+        half = n // 2
+        closed = math.comb(n, half) - math.comb(n - 2, half - 2) + math.comb(n - 2, half - 1)
         observed[str(n)] = (
             f"size={len(fam)},central={math.comb(n, n // 2)},free={free},"
-            f"formulaSize={formula},formulaMatches={formula == len(fam)}"
+            f"formulaSize={formula},formulaMatches={formula == len(fam)},"
+            f"closedForm={closed},closedFormMatches={closed == len(fam)}"
         )
-        ok = ok and free and beats
+        ok = ok and free and beats and closed == len(fam)
     return CheckResult(
         "f23_construction",
         "the pinned-pair construction beats the middle layer while avoiding "

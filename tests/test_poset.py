@@ -173,7 +173,7 @@ def test_cycle_error_exactly_when_networkx_finds_a_cycle(data):
 
 def test_dual_of_y12_has_unique_maximal():
     lam = dual(y_poset(1, 2))
-    maximal = [x for x in lam.elements if not lam.cover_children[lam.index[x]]]
+    maximal = [x for x in lam.elements if all(a != x for a, _ in lam.covers)]
     assert maximal == ["x1"]
     assert lam.graded
 
@@ -244,9 +244,8 @@ def test_generators_hold_the_64_element_cap():
 def test_t_r3_degree_reading():
     t = t_r3_poset(2)
     assert len(t.elements) == 5
-    deg = {x: len(t.cover_parents[t.index[x]]) + len(t.cover_children[t.index[x]])
-           for x in t.elements}
-    leaves = [x for x in t.elements if not t.cover_children[t.index[x]]]
+    deg = {x: sum(x in c for c in t.covers) for x in t.elements}
+    leaves = [x for x in t.elements if all(a != x for a, _ in t.covers)]
     assert len(leaves) == 2
     for x in t.elements:
         if x not in leaves:
@@ -259,7 +258,7 @@ def test_t_r3_children_reading():
     t = t_r3_poset(2, reading="children")
     assert len(t.elements) == 1 + 2 + 4
     for x in t.elements:
-        kids = t.cover_children[t.index[x]]
+        kids = [b for a, b in t.covers if a == x]
         assert len(kids) in (0, 2)
 
 
@@ -322,7 +321,14 @@ def test_cached_order_data_matches_independent_routes(p):
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from((p.index[a], p.index[b]) for a, b in p.covers)
-    assert (classify_tree(p) != "not_tree") == nx.is_tree(graph)
+    assert p.neighbours == tuple(tuple(sorted(graph.adj[i])) for i in range(n))
+    verdict = classify_tree(p)
+    assert (verdict != "not_tree") == nx.is_tree(graph)
+    if verdict != "not_tree":
+        minimal = [x for x in p.elements if all(b != x for _, b in p.covers)]
+        maximal = [x for x in p.elements if all(a != x for a, _ in p.covers)]
+        assert (verdict == "monotone_increasing") == (len(minimal) == 1)
+        assert (verdict == "monotone_decreasing") == (len(minimal) > 1 and len(maximal) == 1)
     for first in range(n):
         order = p.hasse_orders[first]
         assert order[0] == first and sorted(order) == list(range(n))

@@ -237,6 +237,8 @@ def test_exhaustive_matches_bnb_at_n3():
 @pytest.mark.parametrize("forbidden, mode", [
     ([C2], "weak"), ([Y12, Y12P], "weak"), ([Y12], "induced"), ([chain(3)], "induced"),
     ([Y22, Y22P], "rank_preserving"), ([y_poset(1, 1)], "rank_preserving"),
+    ([complete_multilevel([2, 2])], "weak"), ([t_r3_poset(2)], "induced"),
+    ([chain(3)], "rank_preserving"),
 ])
 def test_exhaustive_witness_is_the_first_largest_free_family(forbidden, mode):
     """Every one of the 256 families at n = 3, in numeric order of their

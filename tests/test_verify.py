@@ -6,6 +6,7 @@ import pytest
 from posetlab.errors import InvalidParam
 from posetlab.verify import (
     _random_poset,
+    check_f23,
     check_middle_saturation,
     check_small_n_oracle,
     run_suite,
@@ -40,3 +41,10 @@ def test_middle_saturation_check_reaches_n7():
     res = check_middle_saturation(7)
     assert res.passed
     assert res.observed["perN"] == {str(n): "free=True,saturated=True" for n in (5, 6, 7)}
+
+
+def test_f23_check_reports_the_closed_form_beside_the_flagged_candidate():
+    res = check_f23()
+    assert res.passed
+    for n, size in (("6", 22), ("8", 75)):
+        assert f"formulaMatches=False,closedForm={size},closedFormMatches=True" in res.observed[n]
