@@ -74,7 +74,7 @@ first embedding found, not a canonical minimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
@@ -90,6 +90,7 @@ from .errors import (
 )
 from .family import _bits, canonical_masks, elements_of, inclusion_rows
 from .poset import classify_tree
+from .value import Value
 
 MODES = ("weak", "induced", "rank_preserving", "colored")
 
@@ -101,12 +102,10 @@ _INTERVAL_MIN = 65
 _INTERVAL_COST = 4
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Value):
     """Witness map from poset labels to family bitmasks."""
 
-    mapping: dict
-    mode: str
+    _fields = ("mapping", "mode")  # dict, str
 
     def to_json_dict(self):
         return {
@@ -397,10 +396,7 @@ def verify_free(fam, forbidden, mode="weak", coloring=None):
     return True, None
 
 
-@dataclass
-class SaturationResult:
-    saturated: bool
-    counterexample: int | None = None
+SaturationResult = namedtuple("SaturationResult", "saturated counterexample", defaults=(None,))
 
 
 def saturation_check(fam, forbidden, mode="weak", coloring=None):
@@ -523,8 +519,7 @@ def check_embedding(poset, mapping, mode="weak", coloring=None, family=None):
 # ---------------------------------------------------------------------------
 # Inclusion bigraphs, as bitset rows, and the greedy tree embedding.
 
-@dataclass(frozen=True)
-class InclusionBigraph:
+class InclusionBigraph(Value):
     """Bipartite inclusion graph between two fixed set sizes.
 
     Vertices are masks (left side strictly smaller sets); the edge set is
@@ -534,8 +529,7 @@ class InclusionBigraph:
     on complements.  Both cost |left| * i + |right| * (n - j) big-int ANDs.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    _fields = ("left", "right")  # tuple[int, ...] each
 
     def __post_init__(self):
         object.__setattr__(self, "left", tuple(sorted(set(self.left))))

@@ -8,11 +8,11 @@ walks the layers it uses once each, by Gosper's step (_layer).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from math import comb
 
 from .errors import ElementOutOfRange, InvalidParam, OddN, ParseError
+from .value import Value
 
 MAX_GROUND = 24
 
@@ -91,12 +91,10 @@ def elements_of(mask):
     return [int(e) for e in _elements_text(mask).split(",") if e]
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Value):
     """Immutable family of distinct subsets of [n], canonically ordered."""
 
-    n: int
-    members: tuple[int, ...]
+    _fields = ("n", "members")  # int, tuple[int, ...]
 
     def __post_init__(self):
         _check_ground(self.n)

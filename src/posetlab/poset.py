@@ -17,19 +17,18 @@ a table keyed by a poset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .errors import CycleError, DuplicateLabel, InvalidColoring, InvalidParam, NotGraded
+from .value import Value
 
 MAX_ELEMENTS = 64
 
 TREE_CLASSES = ("not_tree", "tree", "monotone_increasing", "monotone_decreasing")
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Value):
     """Immutable poset: labels in fixed order plus the sorted cover list.
 
     ``elements`` may be any iterable of labels, stored as a tuple, and
@@ -42,8 +41,7 @@ class Poset:
     antisymmetric.
     """
 
-    elements: tuple[str, ...]
-    covers: tuple[tuple[str, str], ...]
+    _fields = ("elements", "covers")  # tuple[str, ...], tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         labels = tuple(self.elements)

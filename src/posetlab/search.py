@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -47,20 +47,8 @@ MAX_EXHAUSTIVE_N = 4
 MAX_SYMMETRY_N = 7
 
 
-@dataclass
-class SearchConfig:
-    budget_ms: int | None = None
-    symmetry_pruning: bool = False
-
-
-@dataclass
-class SearchOutcome:
-    value: int
-    witness: SetFamily
-    nodes_explored: int
-    mode: str
-    forbidden: tuple
-    exact: bool
+SearchConfig = namedtuple("SearchConfig", "budget_ms symmetry_pruning", defaults=(None, False))
+SearchOutcome = namedtuple("SearchOutcome", "value witness nodes_explored mode forbidden exact")
 
 
 def _detect_y_pair(forbidden):

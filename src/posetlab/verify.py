@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chains import (
     chain_weight_average,
@@ -55,13 +55,8 @@ DEFAULT_SEED = 20240801
 N4_Y22_PAIR_RP_VALUE = 10
 
 
-@dataclass
-class CheckResult:
-    name: str
-    claim: str
-    inputs: dict
-    observed: dict
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "name claim inputs observed passed")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -2,9 +2,13 @@
 
 Which modules a command runs is checked in a fresh interpreter: a submodule
 that has not run is still a lazy module in sys.modules, and its type turns
-into types.ModuleType once its code has run.
+into types.ModuleType once its code has run.  The interpreter runs with -S,
+so no site hook loads or hides a module, and the probe also names which of
+dataclasses and inspect (10-20 ms of start-up together) are loaded.
 """
+import copy
 import json
+import pickle
 import os
 import subprocess
 import sys
@@ -30,26 +34,27 @@ else:
     code = None
 ran = [name for name in ("chains", "embed", "family", "poset", "search", "verify")
        if type(sys.modules["posetlab." + name]) is types.ModuleType]
-print(json.dumps({"code": code, "ran": ran}))
+slow = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "slow": slow}))
 """
 
 
 def _modules_run(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_import_runs_no_submodule():
-    assert _modules_run() == {"code": None, "ran": []}
+    assert _modules_run() == {"code": None, "ran": [], "slow": []}
 
 
 def test_poset_gen_runs_only_poset():
     assert _modules_run("poset", "gen", "--kind", "chain", "--params", "2") == {
-        "code": 0, "ran": ["poset"]}
+        "code": 0, "ran": ["poset"], "slow": []}
 
 
 @pytest.mark.parametrize("check", ["free", "saturated"])
@@ -60,6 +65,17 @@ def test_checks_do_not_run_search_chains_or_verify(tmp_path, check):
                           "--forbid", "named:y(2,2)", "--forbid", "named:y'(2,2)")
     assert result["code"] == 0
     assert not {"search", "chains", "verify"} & set(result["ran"])
+    assert result["slow"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "la", "--n", "3", "--forbid", "named:chain(2)"),
+    ("verify", "paper", "--suite", "fast", "--max-n", "3"),
+], ids=["search-la", "verify-paper"])
+def test_search_and_verify_load_neither_dataclasses_nor_inspect(argv):
+    result = _modules_run(*argv)
+    assert result["code"] == 0
+    assert result["slow"] == []
 
 
 def test_public_names_are_the_home_module_objects():
@@ -125,3 +141,81 @@ def test_out_of_range_arguments_raise_typed_errors(build, error, message):
     with pytest.raises(error, match=message) as err:
         build()
     assert type(err.value) is error
+
+
+# The value classes: Poset, SetFamily and InclusionBigraph are immutable
+# values; the result records keep their field order and defaults.
+
+def _values():
+    a = poset.Poset(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
+    b = poset.Poset(["a", "b", "c"], (("b", "c"), ("a", "b")))
+    fam_a = family.SetFamily(3, (0b011, 0b001, 0b001))
+    fam_b = family.SetFamily.from_sets(3, [[1], [1, 2]])
+    graph_a = embed.InclusionBigraph((0b010, 0b001), (0b011,))
+    graph_b = embed.InclusionBigraph([0b001, 0b010, 0b001], [0b011])
+    return [(a, b), (fam_a, fam_b), (graph_a, graph_b)]
+
+
+@pytest.mark.parametrize("pair", _values(), ids=["poset", "family", "bigraph"])
+def test_equal_values_hash_equal_and_copy_equal(pair):
+    x, y = pair
+    assert x == y and not x != y and hash(x) == hash(y)
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and hash(clone) == hash(x) and type(clone) is type(x)
+
+
+def test_values_are_equal_only_to_the_same_class():
+    (p, _), (fam, _), _ = _values()
+    assert p != fam and fam != p
+    assert p != (p.elements, p.covers) and fam != (fam.n, fam.members)
+    assert poset.chain(2) != poset.antichain(2)
+    assert family.SetFamily(3, (1,)) != family.SetFamily(4, (1,))
+
+
+@pytest.mark.parametrize("pair", _values(), ids=["poset", "family", "bigraph"])
+def test_fields_cannot_be_assigned_or_deleted(pair):
+    x, _ = pair
+    for field in vars(x).copy():
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert pair[0] == pair[1]
+
+
+def test_reprs_name_the_fields():
+    assert repr(poset.chain(2)) == "Poset(elements=('x1', 'x2'), covers=(('x1', 'x2'),))"
+    assert repr(family.SetFamily(2, (2, 1))) == "SetFamily(n=2, members=(1, 2))"
+    assert repr(embed.InclusionBigraph((1,), (3,))) == "InclusionBigraph(left=(1,), right=(3,))"
+
+
+def test_result_records_keep_their_order_and_defaults():
+    from posetlab.search import SearchConfig
+    from posetlab.verify import CheckResult
+
+    cfg = SearchConfig()
+    assert (cfg.budget_ms, cfg.symmetry_pruning) == (None, False)
+    assert SearchConfig(5).budget_ms == 5 and SearchConfig(None, True).symmetry_pruning
+    assert embed.SaturationResult(True) == embed.SaturationResult(True, None)
+    assert embed.SaturationResult(False, 6) != embed.SaturationResult(False, 5)
+    assert embed.SaturationResult(False, 6).counterexample == 6
+    result = CheckResult("c", "claim", {"n": 1}, {}, True)
+    assert result.name == "c"
+    assert list(result.to_json_dict()) == ["name", "claim", "inputs", "observed", "pass"]
+
+
+def test_each_family_build_runs_the_class_post_init_once(monkeypatch):
+    builds = []
+    original = family.SetFamily.__post_init__
+
+    def counted(self):
+        builds.append(self.n)
+        original(self)
+
+    monkeypatch.setattr(family.SetFamily, "__post_init__", counted)
+    fam = family.middle_layers(4, 2)
+    assert builds == [4]
+    family.SetFamily.from_sets(3, [[1], [2, 3]])
+    assert builds == [4, 3]
+    copy.copy(fam), pickle.loads(pickle.dumps(fam))
+    assert builds == [4, 3]
