@@ -21,9 +21,10 @@ counterexample and node count is the one the tables built anew would give.
     per (pattern test, class table, ordering set), with the orderings each
     inclusion word passes per (pattern test, ordering set) (_copy_tester).
   - On a _Pool, for its lifetime (one find_copy or creates_copy_through,
-    one saturation_check, one search): the class-size vectors per class
-    table, forced class and size, and size profile capped at |P|
-    (_embed_by_class_sizes).  The weak and induced matcher keeps no table.
+    one saturation_check, one search): one walk of the class-size vectors
+    per class table, forced class and size, and size profile capped at |P|,
+    with the vectors it has listed (_Pool.class_sizes).  The weak and
+    induced matcher keeps no table.
 
 Height exit (unanchored matcher only).  Every mode maps x < y to phi(x) a
 proper subset of phi(y), so a chain of P maps to sets of strictly
@@ -44,10 +45,10 @@ the scan would let through the interval test, in the same canonical order,
 so every embedding, witness and counterexample is the one the scan finds.
 
 Every one-set test (the search, saturation_check, creates_copy_through)
-runs in place through _copy_through on a _Pool: it appends the new set to
-the caller's members, size groups and member set, forces it onto each
-poset element in turn (placed first in a Hasse-connected order from there,
-so every later candidate is filtered against it) and removes it again.
+runs in place through _copy_through on a _Pool: it pushes the new set onto
+the pool's members, size groups and member set, forces it onto each poset
+element in turn (placed first in a Hasse-connected order from there, so
+every later candidate is filtered against it) and pops it again.
 
 The check entry points live here too: verify_free runs find_copy per
 forbidden poset, and saturation_check probes every outside set in
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from . import lattice
@@ -221,15 +222,18 @@ def _backtrack_images(size_of, pool, poset, mode, forced):
 
 def _find_embedding(pool, poset, mode, classes, forced=None):
     """First image assignment of the poset into the pool's members, or
-    None.  classes is the mode's table from _class_setup.  Without a forced
-    set, the height exit first rules out posets higher than the number of
-    set sizes."""
+    None.  classes is the mode's table from _class_setup: with one, each
+    class-size vector of pool.class_sizes is tried in turn.  Without a
+    forced set, the height exit first rules out posets higher than the
+    number of set sizes."""
     if len(poset.elements) > len(pool.members) or (
             forced is None and poset.height > len(pool.by_size)):
         return None
-    if classes is not None:
-        return _embed_by_class_sizes(pool, poset, mode, classes, forced)
-    return _backtrack_images(None, pool, poset, mode, forced)
+    for size_of in (None,) if classes is None else pool.class_sizes(classes, forced):
+        image = _backtrack_images(size_of, pool, poset, mode, forced)
+        if image is not None:
+            return image
+    return None
 
 
 def _class_sizes(classes, pin, sizes, room, assign, ci=0):
@@ -238,7 +242,7 @@ def _class_sizes(classes, pin, sizes, room, assign, ci=0):
     class order, sizes ascending, strictly above the sizes of the classes
     below and under those above, with room (members per size) left for the
     class; class pin[0] takes only the size pin[1].  A module-level
-    generator, so a dropped walk holds no reference cycle."""
+    generator, so a walk kept by a _Pool holds no reference to the pool."""
     cls_of, below, above, class_count = classes
     if ci == len(class_count):
         yield tuple([assign[c] for c in cls_of])
@@ -254,61 +258,31 @@ def _class_sizes(classes, pin, sizes, room, assign, ci=0):
             room[i] += need
 
 
-def _embed_by_class_sizes(pool, poset, mode, classes, forced):
-    """_find_embedding in the size-constrained modes: give each class a
-    set size, then backtrack on images within the sizes, one class-size
-    vector after another until one holds a copy.
-
-    The vectors are kept in pool.vectors[classes][key] for the pool's
-    lifetime.  They are a pure function of the class table and the key, an
-    int of 7-bit fields: the forced class + 1 (0 when nothing is forced),
-    the forced size, then each size's member count capped at |P| (a class
-    never needs more, so the cap changes no room test, and it bounds the
-    keys by the lattice, not by the calls).  Each call reads the vectors
-    from the first, in the order of the _class_sizes walk: those
-    listed by earlier calls, then, while the walk is not spent, the walk
-    past them, listing each vector it reaches.  No walk is kept between
-    calls, and once a walk is spent its vectors are kept as a tuple."""
-    by_size, k = pool.by_size, len(classes[0])
-    pin = (classes[0][forced[0]], forced[1].bit_count()) if forced else (-1, 0)
-    key = pin[0] + 1 | pin[1] << 7
-    for s, group in by_size.items():
-        count = len(group)
-        key |= (count if count < k else k) << 14 + 7 * s
-    table = pool.vectors.setdefault(classes, {})
-    listed = table.setdefault(key, [])
-    for size_of in listed:
-        image = _backtrack_images(size_of, pool, poset, mode, forced)
-        if image is not None:
-            return image
-    if isinstance(listed, list):  # the walk may go on past the listed vectors
-        sizes = sorted([s for s, group in by_size.items() if group])
-        walk = _class_sizes(classes, pin, sizes, [len(by_size[s]) for s in sizes],
-                            [None] * len(classes[3]))
-        for size_of in islice(walk, len(listed), None):
-            listed.append(size_of)
-            image = _backtrack_images(size_of, pool, poset, mode, forced)
-            if image is not None:
-                return image
-        table[key] = tuple(listed)  # spent: () for most keys, one shared object
-    return None
+def _replay(listed, walk):
+    """The vectors listed so far, then the walk on from there, listing each
+    vector it reaches.  The walk is read by a for loop, not yield from, so
+    a caller that stops at a copy leaves the shared walk open."""
+    yield from listed
+    for size_of in walk:
+        listed.append(size_of)
+        yield size_of
 
 
 class _Pool:
     """The sets a copy may use: members in canonical order (a set under a
     one-set test sits at the end), the same sets grouped by size, the same
     sets as a set for the interval route, and the ground set [n] as a mask.
-    push and pop change all three views together.  vectors is the memo of
-    _embed_by_class_sizes, which lives and dies with the pool."""
+    push and pop change all three views together.  walks holds the
+    class-size walks of class_sizes, which live and die with the pool."""
 
-    __slots__ = ("members", "by_size", "member_set", "ground", "vectors")
+    __slots__ = ("members", "by_size", "member_set", "ground", "walks")
 
     def __init__(self, n, members, by_size, member_set):
         self.members = members
         self.by_size = by_size
         self.member_set = member_set
         self.ground = (1 << n) - 1
-        self.vectors = {}
+        self.walks = {}
 
     @classmethod
     def copy_of(cls, fam):
@@ -327,6 +301,32 @@ class _Pool:
         self.member_set.discard(s)
         return s
 
+    def class_sizes(self, classes, forced):
+        """The class-size vectors of a class table on the pool's sets, from
+        the first, in the order of the _class_sizes walk.
+
+        They are a pure function of the class table and a key, an int of
+        7-bit fields: the forced class + 1 (0 when nothing is forced), the
+        forced size, then each size's member count capped at |P| (a class
+        never needs more, so the cap changes no room test, and it bounds
+        the keys by the lattice, not by the calls).  The pool keeps one
+        walk per (class table, key) with the vectors it has listed: a call
+        reads those, then carries the same walk on, so each vector is
+        produced once."""
+        by_size, k = self.by_size, len(classes[0])
+        pin = (classes[0][forced[0]], forced[1].bit_count()) if forced else (-1, 0)
+        key = pin[0] + 1 | pin[1] << 7
+        for s, group in by_size.items():
+            count = len(group)
+            key |= (count if count < k else k) << 14 + 7 * s
+        kept = self.walks.get((classes, key))
+        if kept is None:
+            sizes = sorted([s for s, group in by_size.items() if group])
+            walk = _class_sizes(classes, pin, sizes, [len(by_size[s]) for s in sizes],
+                                [None] * len(classes[3]))
+            kept = self.walks[classes, key] = ([], walk)
+        return _replay(*kept)
+
 
 def _copy_through(pool, poset, mode, new_mask, classes):
     """Image (element index -> mask) of a copy that uses new_mask, or None.
@@ -334,11 +334,7 @@ def _copy_through(pool, poset, mode, new_mask, classes):
     error.  Placed first and skipped as used later, it cannot change the
     search order by where it sits; a size group it leaves empty is too
     small to be assigned."""
-    members, member_set = pool.members, pool.member_set
-    group = pool.by_size.setdefault(new_mask.bit_count(), [])
-    members.append(new_mask)  # pool.push and pool.pop, inlined on this hot path
-    group.append(new_mask)
-    member_set.add(new_mask)
+    pool.push(new_mask)
     try:
         for e in range(len(poset.elements)):
             image = _find_embedding(pool, poset, mode, classes, (e, new_mask))
@@ -346,9 +342,7 @@ def _copy_through(pool, poset, mode, new_mask, classes):
                 return image
         return None
     finally:
-        members.pop()
-        group.pop()
-        member_set.discard(new_mask)
+        pool.pop()
 
 
 def _to_embedding(image, poset, mode):
@@ -405,6 +399,7 @@ def saturation_check(fam, forbidden, mode="weak", coloring=None):
     Raises NotFree when the input already contains a forbidden copy; the
     first counterexample in canonical order is reported otherwise.
     """
+    forbidden = tuple(forbidden)  # read three times below
     free, witness = verify_free(fam, forbidden, mode, coloring)
     if not free:
         raise NotFree(witness)

@@ -88,6 +88,8 @@ def _bits(mask):
 
 def elements_of(mask):
     """Sorted 1-based element list of a bitmask over [MAX_GROUND]."""
+    if not 0 <= mask < 1 << MAX_GROUND:
+        raise ElementOutOfRange(f"mask {mask} does not fit in [{MAX_GROUND}]")
     return [int(e) for e in _elements_text(mask).split(",") if e]
 
 

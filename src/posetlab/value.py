@@ -3,22 +3,25 @@
 Importing dataclasses loads inspect, and each class it builds compiles its
 methods from generated source: 10-20 ms of every CLI process's start-up
 in all.  A Value subclass lists its fields in _fields, in constructor
-order; the constructor stores them positionally and then calls
-__post_init__ through the class, once per instance, which may normalise a
-field with object.__setattr__.  Instances of the same class are equal when
-their fields are, hash over the field tuple and refuse assignment;
-cached_property values live in the instance dict, as do the fields, so
-copy and pickle carry them over.
+order; the constructor takes them by position or by name, as a dataclass
+did, stores them and then calls __post_init__ through the class, once per
+instance, which may normalise a field with object.__setattr__.
+Instances of the same class are equal when their fields are, hash over
+the field tuple and refuse assignment; cached_property values live in the
+instance dict, as do the fields, so copy and pickle carry them over.
 """
 
 
 class Value:
     _fields = ()
 
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}")
-        self.__dict__.update(zip(self._fields, values))
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # the fields after the positional ones, by name
+            values += tuple([named.pop(f) for f in fields[len(values):] if f in named])
+        if named or len(values) != len(fields):  # unknown, repeated or missing
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        self.__dict__.update(zip(fields, values))
         self.__post_init__()
 
     def __post_init__(self):

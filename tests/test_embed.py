@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetlab import embed
+from posetlab import embed, lattice
 from posetlab.embed import (
     MODES,
     InclusionBigraph,
@@ -54,7 +54,7 @@ from posetlab.poset import (
     y_poset,
     y_prime_poset,
 )
-from posetlab.search import SaturationResult, saturation_check, verify_free
+from posetlab.search import SaturationResult, la_exact, saturation_check, verify_free
 from strategies import dag_covers, families, random_family, random_graded_poset
 
 C2 = chain(2)
@@ -495,6 +495,16 @@ def test_detect_checks_at_full_size_are_pinned(monkeypatch):
     assert walks["all"] > 0
 
 
+@pytest.mark.parametrize("fam, forbidden, mode, mapped", [
+    (middle_layers(4, 1), (C2,), "weak", True),
+    (middle_layers(5, 2), Y22_PAIR, "induced", False),
+])
+def test_saturation_check_takes_an_iterator_of_posets(fam, forbidden, mode, mapped):
+    """On lattice's maps and on the matcher's probes alike."""
+    assert (lattice.route(fam, forbidden, mode, None) is not None) == mapped
+    assert saturation_check(fam, iter(forbidden), mode) == SaturationResult(True, None)
+
+
 THREE_CLASSES = SetFamily(5, tuple(full_layer(5, 1) + full_layer(5, 3) + full_layer(5, 4)))
 
 
@@ -627,6 +637,25 @@ def test_a_warm_pool_answers_as_a_fresh_one(covers, other, n, data):
             warm.push(s)
 
 
+def test_a_pool_starts_one_class_size_walk_per_key(monkeypatch):
+    """The search's one pool on the rank-preserving Y(2,2) pair at n = 4:
+    each (class table, forced class and size, capped size profile) starts
+    one _class_sizes walk, which later calls carry on."""
+    walks = []
+    original = embed._class_sizes
+
+    def counted(classes, pin, sizes, room, assign, ci=0):
+        if ci == 0:
+            cap = len(classes[0])
+            walks.append((id(classes), pin, tuple(sizes), tuple(min(r, cap) for r in room)))
+        return original(classes, pin, sizes, room, assign, ci)
+
+    monkeypatch.setattr(embed, "_class_sizes", counted)
+    outcome = la_exact(4, Y22_PAIR, "rank_preserving")
+    assert (outcome.value, outcome.nodes_explored) == (10, 2399)
+    assert len(walks) == len(set(walks)) == 385
+
+
 @settings(max_examples=40)
 @given(dag_covers(max_elements=4), st.lists(families(max_n=3, max_size=8), min_size=2,
                                             max_size=3), st.data())
@@ -668,6 +697,7 @@ def test_bigraph_empty_side():
     g = build_inclusion_bigraph(middle_layers(4, 1), 2, 3)
     assert g.edge_count == 0
     assert g.right == ()
+    assert InclusionBigraph((), ()).average_degree() == 0
 
 
 def test_bigraph_middle_layers_of_5():

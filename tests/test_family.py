@@ -33,6 +33,12 @@ def test_mask_round_trip():
     assert elements_of(mask_of([1, 8, 9, 16, 17, 24])) == [1, 8, 9, 16, 17, 24]
 
 
+@pytest.mark.parametrize("mask", [1 << 24, -1])
+def test_elements_of_rejects_a_mask_outside_the_ground_set(mask):
+    with pytest.raises(ElementOutOfRange, match=rf"mask {mask} does not fit in \[24\]"):
+        elements_of(mask)
+
+
 def test_canonical_member_order():
     fam = SetFamily(3, (0b111, 0b001, 0b010, 0b011, 0b001))
     assert fam.members == (0b001, 0b010, 0b011, 0b111)
@@ -169,6 +175,7 @@ def test_parse_family_basic():
     assert fam.members == (0b100, 0b011)
     empty = parse_family("n=4\n-\n")
     assert empty.members == (0,)
+    assert parse_family("n=4\n - \n") == empty  # the padded line is read element by element
     # blank lines are skipped but still counted for the line numbers
     assert parse_family("n=3\n1,2\n\n  \n3\n") == fam
     with pytest.raises(ElementOutOfRange) as err:

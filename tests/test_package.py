@@ -189,6 +189,23 @@ def test_reprs_name_the_fields():
     assert repr(embed.InclusionBigraph((1,), (3,))) == "InclusionBigraph(left=(1,), right=(3,))"
 
 
+@pytest.mark.parametrize("pair", _values(), ids=["poset", "family", "bigraph"])
+def test_a_repr_builds_an_equal_value(pair):
+    x, _ = pair
+    clone = eval(repr(x), {"Poset": poset.Poset, "SetFamily": family.SetFamily,
+                           "InclusionBigraph": embed.InclusionBigraph})
+    assert clone == x and type(clone) is type(x)
+
+
+def test_fields_go_by_position_or_by_name():
+    assert family.SetFamily(3, members=(2, 1)) == family.SetFamily(n=3, members=(1, 2))
+    assert embed.Embedding(mode="weak", mapping={"x": 1}).mode == "weak"
+    for args, named in [((3,), {}), ((3, (1,), ()), {}), ((3,), {"n": 3}),
+                        ((), {"n": 3}), ((3,), {"members": (1,), "size": 1})]:
+        with pytest.raises(TypeError, match=r"SetFamily\(\) takes the fields \('n', 'members'\)"):
+            family.SetFamily(*args, **named)
+
+
 def test_result_records_keep_their_order_and_defaults():
     from posetlab.search import SearchConfig
     from posetlab.verify import CheckResult
