@@ -258,14 +258,18 @@ def _class_sizes(classes, pin, sizes, room, assign, ci=0):
             room[i] += need
 
 
-def _replay(listed, walk):
+def _replay(kept):
     """The vectors listed so far, then the walk on from there, listing each
     vector it reaches.  The walk is read by a for loop, not yield from, so
-    a caller that stops at a copy leaves the shared walk open."""
+    a caller that stops at a copy leaves the shared walk open; a walk that
+    ends is dropped, and only the vectors it listed stay."""
+    listed = kept[0]
     yield from listed
-    for size_of in walk:
-        listed.append(size_of)
-        yield size_of
+    if kept[1] is not None:
+        for size_of in kept[1]:
+            listed.append(size_of)
+            yield size_of
+        kept[1] = None
 
 
 class _Pool:
@@ -310,9 +314,9 @@ class _Pool:
         forced size, then each size's member count capped at |P| (a class
         never needs more, so the cap changes no room test, and it bounds
         the keys by the lattice, not by the calls).  The pool keeps one
-        walk per (class table, key) with the vectors it has listed: a call
-        reads those, then carries the same walk on, so each vector is
-        produced once."""
+        walk per (class table, key) as a [listed vectors, walk] pair: a
+        call reads those, then carries the same walk on, so each vector is
+        produced once; the walk goes to None when it ends."""
         by_size, k = self.by_size, len(classes[0])
         pin = (classes[0][forced[0]], forced[1].bit_count()) if forced else (-1, 0)
         key = pin[0] + 1 | pin[1] << 7
@@ -324,8 +328,8 @@ class _Pool:
             sizes = sorted([s for s, group in by_size.items() if group])
             walk = _class_sizes(classes, pin, sizes, [len(by_size[s]) for s in sizes],
                                 [None] * len(classes[3]))
-            kept = self.walks[classes, key] = ([], walk)
-        return _replay(*kept)
+            kept = self.walks[classes, key] = [[], walk]
+        return _replay(kept)
 
 
 def _copy_through(pool, poset, mode, new_mask, classes):

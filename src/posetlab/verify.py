@@ -4,11 +4,26 @@ Each check is a pure composition of library operations with a fixed seed,
 so two runs produce identical reports.  The checks mirror the project's
 acceptance criteria one to one; the test suite runs the same assertions
 through pytest with independent corpora.
+
+The checks share no state, so run_suite uses a second CPU where there is
+one: it forks a child for the heaviest check, the copy-detector oracle,
+and runs the others meanwhile.  The child pickles its CheckResult, or the
+exception it raised, into a pipe and ends with os._exit, so nothing
+buffered is flushed twice and no atexit handler runs.  The parent puts
+the result in its place in the report, raises the exception again, or
+raises RuntimeError when the child ended without a result; on every path
+it reaps the child, killing it first when the result was never read.
+The suite runs in-process, as on one CPU, when only one CPU is usable,
+when os.fork does not exist or fails, or when the process has other
+threads (Python 3.12+ warns on a fork then).  The report is the same either way.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import threading
 from collections import namedtuple
 
 from .chains import (
@@ -382,6 +397,76 @@ def check_copy_detector(triples, seed):
     )
 
 
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threads():
+    """Threads in this process, counted as Python 3.12+'s fork warning
+    counts them: from /proc where it exists, else the threading module's."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+class _Forked:
+    """check(*args), run in a forked child while the caller goes on.
+    result() waits for it; close() reaps the child on every path."""
+
+    def __init__(self, check, *args):
+        rfd, wfd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(rfd)
+                try:
+                    payload = (True, check(*args))
+                except Exception as exc:
+                    payload = (False, exc)
+                with open(wfd, "wb") as pipe:
+                    pickle.dump(payload, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(wfd)
+        self.pipe = open(rfd, "rb")
+
+    def result(self):
+        """The check's result, or its exception raised again.  Reading the
+        pipe to its end cannot hang: the child holds its only write end."""
+        data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            ok, value = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off payload
+            raise RuntimeError("the forked check ended without a result (exit code "
+                               f"{os.waitstatus_to_exitcode(status)})") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        self.pipe.close()
+        if self.pid is not None:  # the result was never read
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED):
     """Run the named suite, "all" or "fast"; returns a JSON-ready report dict."""
     if suite not in ("all", "fast"):
@@ -394,20 +479,31 @@ def run_suite(suite="all", max_n=7, seed=DEFAULT_SEED):
     graphs_per_t = 30 if fast else 200
     triples = 1000 if fast else 10000
 
-    checks = [
-        check_sperner(max_n),
-        check_y12_pair(max_n),
-        check_middle_saturation(max_n),
-        check_chain_average(max_n, families_per_n, seed),
-        check_pair_count(max_n, families_per_n, seed + 1),
-        check_kleitman(max_n, kleitman_count, seed + 2),
-        check_f23(),
-        check_tail_family(max_n),
-        check_greedy_embedding(graphs_per_t, seed + 3),
-    ]
-    if not fast:
-        checks.append(check_small_n_oracle())
-    checks.append(check_copy_detector(triples, seed + 4))
+    copy_args = (triples, seed + 4)
+    child = None
+    if _usable_cpus() > 1 and hasattr(os, "fork") and _threads() == 1:
+        try:
+            child = _Forked(check_copy_detector, *copy_args)
+        except OSError:  # no process to spare: the check runs here
+            pass
+    try:
+        checks = [
+            check_sperner(max_n),
+            check_y12_pair(max_n),
+            check_middle_saturation(max_n),
+            check_chain_average(max_n, families_per_n, seed),
+            check_pair_count(max_n, families_per_n, seed + 1),
+            check_kleitman(max_n, kleitman_count, seed + 2),
+            check_f23(),
+            check_tail_family(max_n),
+            check_greedy_embedding(graphs_per_t, seed + 3),
+        ]
+        if not fast:
+            checks.append(check_small_n_oracle())
+        checks.append(child.result() if child else check_copy_detector(*copy_args))
+    finally:
+        if child:
+            child.close()
 
     return {
         "suite": suite,

@@ -1,11 +1,21 @@
 import json
+import random
 import time
 
 import pytest
 
 from posetlab.cli import UsageError, parse_poset_spec, run
 from posetlab.family import lubell_tail_family, middle_layers, parse_family, serialize_family
-from posetlab.poset import _GENERATORS, chain, gen_named, t_r3_poset, y_poset, y_prime_poset
+from posetlab.poset import (
+    _GENERATORS,
+    chain,
+    gen_named,
+    poset_to_json,
+    t_r3_poset,
+    y_poset,
+    y_prime_poset,
+)
+from strategies import random_family
 
 
 def run_cli(capsys, *argv):
@@ -462,3 +472,73 @@ def test_verify_paper_reports_are_reproducible(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "paper", "--suite", "fast", "--max-n", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _fuzz_argv(rng, files):
+    """One random command line over every subcommand: each token is valid,
+    or one time in ten malformed.  No input takes long: a small --n, a
+    --budget-ms on every search, never the `all` verify suite."""
+    def tok(valid, bad=("0", "-1", "x", "", "٣", "9" * 30)):
+        return rng.choice(bad if rng.random() < 0.1 else valid)
+
+    def num(lo, hi, bad=("0", "-1", "x", "", "٣", "9" * 30)):
+        return tok([str(rng.randint(lo, hi))], bad)
+
+    spec = tok(["named:chain(2)", "named:chain(3)", "named:y(2,2)", "named:y'(1,3)",
+                "named:t3(2)", "named:antichain(3)", "named:complete_multilevel(2,2)",
+                files["poset"], f"named:y({num(1, 3)},{num(1, 3)})"],
+               ["named:chain(", "named:w(1)", "named:y(1)", "named:chain(99)",
+                files["bad_poset"], files["missing"]])
+    family_path = tok([files["family"]],
+                      [files["bad_family"], files["binary"], files["missing"], files["dir"]])
+    mode = tok(["weak", "induced", "rp", "rank_preserving"], ["colored", ""])
+    fmt = tok(["json", "csv"], ["xml"])
+    argv = rng.choice([
+        ["poset", "gen", "--kind", tok(["chain", "y", "y'", "t3", "antichain"], ["w", ""]),
+         "--params", num(1, 4) if rng.random() < 0.5 else f"{num(1, 3)},{num(1, 3)}",
+         "--t3-reading", tok(["degree", "children"], ["x"])],
+        ["poset", "show", rng.choice(["--named", "--file"]), spec, "--format", fmt],
+        ["family", "gen", "--kind", tok(["middle", "f23", "lubell_tail"], ["x"]),
+         "--n", num(1, 8, ("0", "25", "-4", "x")), "--h", num(1, 4),
+         "--out", tok([files["out"]], [files["dir"], files["missing_dir"]])],
+        ["family", "stats", "--file", family_path, "--format", fmt],
+        ["check", rng.choice(["free", "saturated"]), "--family", family_path, "--forbid", spec,
+         "--mode", mode, "--format", fmt] + rng.choice([[], ["--forbid", spec],
+                                                       ["--n", num(2, 5)]]),
+        ["measure", "--family", family_path, "--format", fmt],
+        ["search", "la", "--n", num(1, 5, ("0", "13", "x")), "--forbid", spec, "--mode", mode,
+         "--budget-ms", tok(["0", "20"], ["-5", "x"])] + rng.choice([[], ["--symmetry"]]),
+        ["verify", "paper", "--suite", tok(["fast"], ["FAST", "full"]),
+         "--max-n", tok(["1", "0", "-3", "x", "2"]), "--seed", tok(["1"], ["x"])],
+    ])
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "--n", "-", "--help"]))
+    return argv
+
+
+def test_cli_fuzz_exits_0_1_or_2_with_a_short_stderr(tmp_path, capsys):
+    """A seeded few hundred command lines: no exception escapes run, the
+    exit code is 0, 1 or 2, and stderr stays under 2,000 bytes."""
+    rng = random.Random(20261020)
+    files = {"family": tmp_path / "fam.txt", "bad_family": tmp_path / "bad.txt",
+             "binary": tmp_path / "bin.txt", "poset": tmp_path / "p.json",
+             "bad_poset": tmp_path / "bad.json", "missing": tmp_path / "none.txt",
+             "dir": tmp_path, "missing_dir": tmp_path / "none" / "out.txt",
+             "out": tmp_path / "out.txt"}
+    files["bad_family"].write_text("n=3\n1 2\n4\n")
+    files["binary"].write_bytes(b"\xff\xfe\x00n=3")
+    files["poset"].write_text(poset_to_json(y_poset(1, 2)))
+    files["bad_poset"].write_text('{"elements": ["a"], "covers": [["a", "b"]]}')
+    files = {k: str(v) for k, v in files.items()}
+    codes = set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        fam = random_family(rng, n, 1 << n)
+        (tmp_path / "fam.txt").write_text(serialize_family(fam))
+        argv = _fuzz_argv(rng, files)
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert len(err.encode()) < 2000, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

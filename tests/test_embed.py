@@ -656,6 +656,32 @@ def test_a_pool_starts_one_class_size_walk_per_key(monkeypatch):
     assert len(walks) == len(set(walks)) == 385
 
 
+
+def test_a_spent_walk_keeps_only_its_vectors(monkeypatch):
+    """A class-size walk that ends drops its generator; one that a caller
+    left at a copy stays open.  t3(2) has no lattice shape, so rank-
+    preserving saturation and find_copy both go through the walks."""
+    pools = []
+    original = _Pool.class_sizes
+
+    def recorded(self, classes, forced):
+        pools.append(self)
+        return original(self, classes, forced)
+
+    monkeypatch.setattr(_Pool, "class_sizes", recorded)
+    t3 = t_r3_poset(2)
+    result = saturation_check(middle_layers(9, 2), [t3], "rank_preserving")
+    assert result == SaturationResult(False, 0b111111)
+    kept = [k for pool in set(pools) for k in pool.walks.values()]
+    assert any(walk is None for _, walk in kept)
+    assert all(walk is None or walk.gi_frame is not None for _, walk in kept)
+    pools.clear()
+    fam = SetFamily(4, (1, 8, 5, 10, 7, 13, 14))
+    assert find_copy(fam, t3, "rank_preserving") is None
+    assert find_copy_bruteforce(fam, t3, "rank_preserving") is None
+    kept = [k for pool in set(pools) for k in pool.walks.values()]
+    assert kept and all(listed and walk is None for listed, walk in kept)
+
 @settings(max_examples=40)
 @given(dag_covers(max_elements=4), st.lists(families(max_n=3, max_size=8), min_size=2,
                                             max_size=3), st.data())
